@@ -28,7 +28,6 @@ from .diffusive import (
     TimeGrid,
     build_system,
     graded_grid,
-    fold_phi,
     fractional_part,
     signed_prefactor,
     stiffness_report,
@@ -47,6 +46,7 @@ from .oracle import (
     brute_force_caputo,
     corpus_function,
     corpus_names,
+    exact_combination,
     exact_phi,
     exact_folded_phi,
     make_problem,

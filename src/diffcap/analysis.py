@@ -23,11 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffusive import DerivativeProblem, TimeGrid, build_system, uniform_grid
+from .diffusive import DerivativeProblem, TimeGrid, uniform_grid
+from .diffusive import build_system  # noqa: F401 - perfbench/tracing.py rebinds this name
 from .errors import InsufficientDataError, InvalidParameterError
 from .oracle import (
-    _phi_integral,
     brute_force_caputo,
+    exact_combination,
     reference_quadrature,
     require_d_upper_plus,
 )
@@ -67,38 +68,6 @@ class LogScaledValue:
         except OverflowError:
             return math.inf
 
-    @property
-    def mantissa(self) -> float:
-        if math.isinf(self.log10):
-            return 0.0 if self.log10 < 0 else math.inf
-        return 10.0 ** (self.log10 - math.floor(self.log10))
-
-    @property
-    def exponent10(self) -> int:
-        if math.isinf(self.log10):
-            return 0
-        return int(math.floor(self.log10))
-
-
-def _exact_combination(
-    problem: DerivativeProblem, rule: QuadratureRule, t: float, budget: float
-) -> np.ndarray:
-    """Per-node reference values of e^{-x_k} fold_phi(x_k, t).
-
-    Node tolerances are split so the weighted sum over all nodes stays
-    within ``budget``.
-    """
-    q = problem.fractional_part
-    coef_log = rule.log_weights + rule.nodes
-    split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * rule.npoints)
-    out = np.empty(rule.npoints)
-    for k, x in enumerate(rule.nodes):
-        tol_k = max(math.exp(min(split - coef_log[k], math.log(1e6))), 1e-300)
-        phi_minus = _phi_integral(problem, -x / q, t, tol_k)
-        phi_plus = _phi_integral(problem, x / (1.0 - q), t, tol_k)
-        out[k] = phi_minus / q + phi_plus / (1.0 - q)
-    return out
-
 
 def ode_error_profile(
     problem: DerivativeProblem,
@@ -109,14 +78,14 @@ def ode_error_profile(
 ) -> np.ndarray:
     """The ODE error component at every grid index (index 0 is exactly 0)."""
     coef = quadrature_coefficients(rule)
-    system = build_system(problem, rule)
+    q = problem.fractional_part
     out = np.empty(len(grid.points))
     for state in iter_solution(problem, rule, grid, method=method):
         if state.n == 0:
             out[0] = 0.0
             continue
-        exact = _exact_combination(problem, rule, float(grid.points[state.n]), truth_tol)
-        out[state.n] = coef @ (exact - state_combination(system, state))
+        exact = exact_combination(problem, rule, float(grid.points[state.n]), truth_tol)
+        out[state.n] = coef @ (exact - state_combination(q, state))
     return out
 
 
@@ -131,7 +100,7 @@ def quadrature_error(
 
 def _rule_sum(problem: DerivativeProblem, rule: QuadratureRule, t: float, truth_tol: float) -> float:
     """The rule applied to the exact folded integrand at time t."""
-    return float(quadrature_coefficients(rule) @ _exact_combination(problem, rule, t, truth_tol))
+    return float(quadrature_coefficients(rule) @ exact_combination(problem, rule, t, truth_tol))
 
 
 def decompose_error(
@@ -151,7 +120,7 @@ def decompose_error(
     if not (1e-14 <= truth_tol <= 1e-8):
         raise InvalidParameterError(f"truth_tol must lie in [1e-14, 1e-8], got {truth_tol}")
     coef = quadrature_coefficients(rule)
-    system = build_system(problem, rule)
+    q = problem.fractional_part
     rows: list[ErrorDecomposition] = []
     for state in iter_solution(problem, rule, grid, method=method):
         n = state.n
@@ -159,8 +128,8 @@ def decompose_error(
             rows.append(ErrorDecomposition(0, 0.0, 0.0, 0.0, truth_tol))
             continue
         t = float(grid.points[n])
-        scheme = float(coef @ state_combination(system, state))
-        exact = _exact_combination(problem, rule, t, truth_tol)
+        scheme = float(coef @ state_combination(q, state))
+        exact = exact_combination(problem, rule, t, truth_tol)
         exact_sum = float(coef @ exact)
         rows.append(
             ErrorDecomposition(
@@ -316,17 +285,15 @@ def fit_rate(xs: Sequence[float], errs: Sequence[float]) -> RateFit:
 
 @dataclass(frozen=True)
 class DecayStudy:
-    """Quadrature errors over a node-count sweep, with local orders.
+    """Quadrature errors |r_q(K)| over a node-count sweep.
 
-    ``local_orders`` holds (K, p_K) with p_K = log2(e_K / e_{2K}) for the
-    doublings present in the sweep whose errors both sit above the
-    oracle-noise floor.  These orders of point values wiggle where r_q
-    changes sign, since |r_q| dips near each zero; judge the decay on an
-    envelope of the points instead.
+    Errors at or below ``noise_floor`` are oracle noise.  Orders taken from
+    single points, such as log2(e_K / e_{2K}), wiggle where r_q changes sign,
+    since |r_q| dips near each zero; judge the decay on an envelope of the
+    points instead.
     """
 
     points: tuple[tuple[int, float], ...]
-    local_orders: tuple[tuple[int, float], ...]
     noise_floor: float
 
 
@@ -342,16 +309,7 @@ def quadrature_decay_study(
         raise InvalidParameterError("k_list must be nonempty and strictly increasing")
     # the truth does not depend on K, so one oracle call serves the sweep
     truth = 0.0 if t == problem.a else reference_quadrature(problem, t, truth_tol)
-    errors = {
-        k: abs(truth - _rule_sum(problem, gauss_laguerre_rule(k), t, truth_tol)) for k in k_list
-    }
-    floor = 10.0 * truth_tol
-    orders = []
-    for k in k_list:
-        if 2 * k in errors and errors[k] > floor and errors[2 * k] > floor:
-            orders.append((k, math.log(errors[k] / errors[2 * k]) / math.log(2.0)))
-    return DecayStudy(
-        points=tuple((k, errors[k]) for k in k_list),
-        local_orders=tuple(orders),
-        noise_floor=floor,
+    points = tuple(
+        (k, abs(truth - _rule_sum(problem, gauss_laguerre_rule(k), t, truth_tol))) for k in k_list
     )
+    return DecayStudy(points=points, noise_floor=10.0 * truth_tol)

@@ -16,7 +16,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,50 +70,27 @@ class RunConfig:
     function: str | None = None
     truth_tol: float = 1e-9
     output: str | None = None
-    raw: dict[str, str] = field(default_factory=dict)
 
 
-_KNOWN_KEYS = (
-    "command",
-    "alpha",
-    "a",
-    "T",
-    "N",
-    "N_list",
-    "K",
-    "K_list",
-    "K_star",
-    "method",
-    "grid",
-    "function",
-    "truth_tol",
-    "output",
+#: derivative and decompose both run the scheme on one grid and take the same keys
+_GRID_RUN_KEYS = dict(
+    command=False, alpha=True, a=True, T=True, N=True, K=True, K_star=False,
+    method=False, grid=False, function=True, truth_tol=False, output=False,
 )
 
-_ALLOWED_KEYS = {
-    "nodes": {"command", "K", "K_star", "output"},
-    "stiffness": {"command", "alpha", "K", "K_star", "output"},
-    "derivative": {
-        "command", "alpha", "a", "T", "N", "K", "K_star",
-        "method", "grid", "function", "truth_tol", "output",
-    },
-    "decompose": {
-        "command", "alpha", "a", "T", "N", "K", "K_star",
-        "method", "grid", "function", "truth_tol", "output",
-    },
-    "convergence": {
-        "command", "alpha", "a", "T", "N", "N_list", "K", "K_list", "K_star",
-        "method", "function", "truth_tol", "output",
-    },
+#: the keys each command accepts, True marking the required ones
+_COMMAND_KEYS = {
+    "nodes": dict(command=False, K=True, K_star=False, output=False),
+    "stiffness": dict(command=False, alpha=True, K=True, K_star=False, output=False),
+    "derivative": _GRID_RUN_KEYS,
+    "decompose": _GRID_RUN_KEYS,
+    "convergence": dict(
+        command=False, alpha=True, a=True, T=True, N=False, N_list=False, K=False,
+        K_list=False, K_star=False, method=False, function=True, truth_tol=False, output=False,
+    ),
 }
 
-_REQUIRED_KEYS = {
-    "nodes": {"K"},
-    "stiffness": {"alpha", "K"},
-    "derivative": {"alpha", "a", "T", "N", "K", "function"},
-    "decompose": {"alpha", "a", "T", "N", "K", "function"},
-    "convergence": {"alpha", "a", "T", "function"},
-}
+_KNOWN_KEYS = {key for keys in _COMMAND_KEYS.values() for key in keys}
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -172,15 +149,15 @@ def parse_config(text: str) -> RunConfig:
     command = pairs["command"]
     if command not in COMMANDS:
         raise ConfigError(f"command: expected one of {COMMANDS}, got {command!r}")
-    allowed = _ALLOWED_KEYS[command]
+    keys = _COMMAND_KEYS[command]
     for key in pairs:
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"key {key!r} is not used by command {command!r}")
-    missing = _REQUIRED_KEYS[command] - pairs.keys()
+    missing = {key for key, required in keys.items() if required} - pairs.keys()
     if missing:
         raise ConfigError(f"command {command!r} is missing keys: {sorted(missing)}")
 
-    config = RunConfig(command=command, raw=dict(pairs))
+    config = RunConfig(command=command)
     if "alpha" in pairs:
         config.alpha = _as_float(pairs, "alpha")
         try:
@@ -268,8 +245,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _rule_for(config: RunConfig):
-    rule = gauss_laguerre_rule(config.k)
+def _rule_for(config: RunConfig, k: int):
+    rule = gauss_laguerre_rule(k)
     if config.k_star is not None:
         rule = truncate_rule(rule, config.k_star)
     return rule
@@ -287,7 +264,7 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 
 
 def _run_nodes(config: RunConfig) -> list[str]:
-    rule = _rule_for(config)
+    rule = _rule_for(config, config.k)
     lines = ["k,node,weight"]
     for k, (node, weight) in enumerate(zip(rule.nodes, rule.weights), start=1):
         lines.append(f"{k},{_fmt(node)},{_fmt(weight)}")
@@ -296,7 +273,7 @@ def _run_nodes(config: RunConfig) -> list[str]:
 
 def _run_stiffness(config: RunConfig) -> list[str]:
     problem = DerivativeProblem(alpha=config.alpha, a=0.0, T=1.0, d_upper=lambda t: 0.0)
-    report = stiffness_report(build_system(problem, _rule_for(config)))
+    report = stiffness_report(build_system(problem, _rule_for(config, config.k)))
     lines = ["k,w,log10_lipschitz"]
     for row in report.rows:
         lines.append(f"{row.k},{_fmt(row.w)},{_fmt(row.log10_lipschitz)}")
@@ -307,8 +284,7 @@ def _run_derivative(config: RunConfig) -> list[str]:
     problem = make_problem(config.function, config.alpha, a=config.a, T=config.T)
     exact = corpus_function(config.function, config.alpha, a=config.a, T=config.T).exact_caputo
     grid = _grid_for(config)
-    values = evaluate_derivative(problem, gauss_laguerre_rule(config.k), grid,
-                                 method=config.method, k_star=config.k_star)
+    values = evaluate_derivative(problem, _rule_for(config, config.k), grid, method=config.method)
     _check_finite(values, "derivative values")
     lines = ["n,t,value,exact_if_known,abs_err_if_known"]
     for n, (t, value) in enumerate(zip(grid.points, values)):
@@ -323,7 +299,7 @@ def _run_derivative(config: RunConfig) -> list[str]:
 def _run_decompose(config: RunConfig) -> list[str]:
     problem = make_problem(config.function, config.alpha, a=config.a, T=config.T)
     grid = _grid_for(config)
-    rule = _rule_for(config)
+    rule = _rule_for(config, config.k)
     rows = decompose_error(problem, rule, grid, method=config.method, truth_tol=config.truth_tol)
     lines = ["n,t,r_total,r_q,r_ode"]
     for row, t in zip(rows, grid.points):
@@ -336,8 +312,7 @@ def _max_error(config: RunConfig, n_steps: int, k: int) -> float:
     problem = make_problem(config.function, config.alpha, a=config.a, T=config.T)
     exact = corpus_function(config.function, config.alpha, a=config.a, T=config.T).exact_caputo
     grid = uniform_grid(config.a, config.T, n_steps)
-    values = evaluate_derivative(problem, gauss_laguerre_rule(k), grid,
-                                 method=config.method, k_star=config.k_star)
+    values = evaluate_derivative(problem, _rule_for(config, k), grid, method=config.method)
     _check_finite(values, "derivative values")
     if exact is not None:
         truths = np.array([exact(float(t)) for t in grid.points])
@@ -354,6 +329,8 @@ def _run_convergence(config: RunConfig) -> list[str]:
     else:
         resolutions = config.k_list
         errs = [_max_error(config, config.n_steps, k) for k in resolutions]
+    # a closed form that is infinite at t = a makes the max error infinite
+    _check_finite(np.array(errs), "max errors")
     lines = ["resolution,max_err"]
     for resolution, err in zip(resolutions, errs):
         lines.append(f"{resolution},{_fmt(err)}")

@@ -27,9 +27,6 @@ from .quadrature import QuadratureRule
 
 INTEGER_ORDER_TOL = 1e-12
 
-#: exponents above this make e^w exceed 1/ulp in double precision
-_STIFF_EXPONENT = -math.log(np.finfo(float).eps)
-
 
 def _validate_order(alpha: float) -> float:
     alpha = float(alpha)
@@ -131,30 +128,11 @@ def build_system(problem: DerivativeProblem, rule: QuadratureRule) -> DiffusiveS
     return DiffusiveSystem(fractional_part=q, c=problem.prefactor, w_minus=w_minus, w_plus=w_plus)
 
 
-def fold_phi(
-    system: DiffusiveSystem, phi_at_minus: float, phi_at_plus: float, w: float
-) -> float:
-    """Combine phi values at the two transformed arguments of a node w >= 0.
-
-        e^w * ( phi(-w/q) / q  +  phi(w/(1-q)) / (1-q) )
-
-    The e^w factor is materialized here, so this is meant for moderate w; the
-    full quadrature folds e^w into the weights analytically (see steppers).
-    """
-    if w < 0.0:
-        raise InvalidParameterError(f"node argument must be nonnegative, got {w}")
-    combo = phi_at_minus / system.fractional_part + phi_at_plus / (1.0 - system.fractional_part)
-    if combo == 0.0:
-        return 0.0
-    return math.copysign(math.exp(w + math.log(abs(combo))), combo)
-
-
 @dataclass(frozen=True)
 class StiffnessRow:
     k: int
     w: float
     log10_lipschitz: float
-    exceeds_ulp_reciprocal: bool
 
 
 @dataclass(frozen=True)
@@ -170,30 +148,21 @@ class StiffnessReport:
     rows: tuple[StiffnessRow, ...]
     log_lipschitz_max: float
     log10_lipschitz_max: float
-    any_stiff: bool = False
 
 
 def stiffness_report(system: DiffusiveSystem) -> StiffnessReport:
-    """Report every node's decay exponent and flag the numerically stiff ones."""
+    """Report every node's decay exponent, in natural and decimal log form."""
     log10e = 1.0 / math.log(10.0)
     rows = []
     for block in (system.w_minus, system.w_plus):
         for k, w in enumerate(block, start=1):
             w = float(w)
-            rows.append(
-                StiffnessRow(
-                    k=k,
-                    w=w,
-                    log10_lipschitz=w * log10e,
-                    exceeds_ulp_reciprocal=w > _STIFF_EXPONENT,
-                )
-            )
+            rows.append(StiffnessRow(k=k, w=w, log10_lipschitz=w * log10e))
     ln_max = float(system.w_plus[-1])
     return StiffnessReport(
         rows=tuple(rows),
         log_lipschitz_max=ln_max,
         log10_lipschitz_max=ln_max * log10e,
-        any_stiff=any(r.exceeds_ulp_reciprocal for r in rows),
     )
 
 

@@ -5,6 +5,8 @@ Three reference routes are provided:
 * ``exact_phi`` evaluates the auxiliary-ODE solution at a fixed time through
   its closed integral form (the derivative data convolved with a pure
   exponential), by adaptive quadrature on an analytically clipped window.
+  ``exact_folded_phi`` and ``exact_combination`` fold two such values into
+  the integrand of the diffusive representation, at one node or at all.
 * ``reference_quadrature`` integrates the diffusive representation itself
   over the auxiliary variable, giving a high-accuracy derivative value.
 * ``brute_force_caputo`` evaluates the defining weakly singular integral
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy import integrate
 
 from .diffusive import DerivativeProblem
@@ -140,6 +143,16 @@ def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12
     return _phi_integral(problem, float(w), t, tol)
 
 
+def _folded(
+    problem: DerivativeProblem, w: float, t: float, tol_minus: float, tol_plus: float
+) -> float:
+    """phi(-w/q, t)/q + phi(w/(1-q), t)/(1-q), each phi within its own tolerance."""
+    q = problem.fractional_part
+    phi_minus = _phi_integral(problem, -w / q, t, tol_minus)
+    phi_plus = _phi_integral(problem, w / (1.0 - q), t, tol_plus)
+    return phi_minus / q + phi_plus / (1.0 - q)
+
+
 def exact_folded_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12) -> float:
     """Reference value of the folded integrand at node argument w >= 0."""
     tol = _validate_tol(tol)
@@ -150,13 +163,30 @@ def exact_folded_phi(problem: DerivativeProblem, w: float, t: float, tol: float 
     q = problem.fractional_part
     tol_minus = _bounded_exp(math.log(0.5 * tol * q) - w)
     tol_plus = _bounded_exp(math.log(0.5 * tol * (1.0 - q)) - w)
-    phi_minus = _phi_integral(problem, -w / q, t, tol_minus)
-    phi_plus = _phi_integral(problem, w / (1.0 - q), t, tol_plus)
-    combo = phi_minus / q + phi_plus / (1.0 - q)
+    combo = _folded(problem, w, t, tol_minus, tol_plus)
     if combo == 0.0:
         return 0.0
     magnitude = math.exp(w + math.log(abs(combo)))
     return math.copysign(magnitude, combo)
+
+
+def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float) -> np.ndarray:
+    """Per-node reference values of e^{-x_k} times the folded integrand at x_k.
+
+    ``rule`` supplies ``nodes`` x_k and ``log_weights`` ln a_k.  Node
+    tolerances are split so the weighted sum over all nodes, with weights
+    a_k e^{x_k}, stays within ``budget``.  No range validation: callers pass
+    their own truth tolerance and the times of their own grid.
+    """
+    q = problem.fractional_part
+    npoints = len(rule.nodes)
+    coef_log = rule.log_weights + rule.nodes
+    split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
+    out = np.empty(npoints)
+    for k, x in enumerate(rule.nodes):
+        tol_k = max(math.exp(min(split - coef_log[k], math.log(1e6))), 1e-300)
+        out[k] = _folded(problem, x, t, tol_k, tol_k)
+    return out
 
 
 def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:
@@ -174,13 +204,9 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     q = problem.fractional_part
     w_max = 30.0 - math.log(tol)
     branch_tol = tol * min(q, 1.0 - q) / (4.0 * w_max)
-
-    def integrand(w: float) -> float:
-        phi_minus = _phi_integral(problem, -w / q, t, branch_tol)
-        phi_plus = _phi_integral(problem, w / (1.0 - q), t, branch_tol)
-        return phi_minus / q + phi_plus / (1.0 - q)
-
-    return _adaptive_integral(integrand, 0.0, w_max, tol)
+    return _adaptive_integral(
+        lambda w: _folded(problem, w, t, branch_tol, branch_tol), 0.0, w_max, tol
+    )
 
 
 def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:
@@ -235,11 +261,13 @@ def corpus_names() -> tuple[str, ...]:
     return (*_POWER_EXPONENTS, "exp", "sin")
 
 
-def _power_derivative(p: float, order: int, a: float) -> tuple[Callable[[float], float], float | None]:
+def _power_derivative(p: float, order: float, a: float) -> tuple[Callable[[float], float], float | None]:
     """order-th derivative of (t - a)^p, plus its coefficient for sup-norms.
 
-    The coefficient is None when the exponent p - order is negative (the
-    derivative is unbounded near a) and 0 for integer p below the order.
+    ``order`` may be fractional, which gives the Caputo derivative for
+    p > ceil(order) - 1.  The coefficient is None when the exponent
+    p - order is negative (the derivative is unbounded near a, and infinite
+    at a) and 0 for integer p below the order.
     """
     if p == int(p) and order > p:
         return (lambda t: 0.0), 0.0
@@ -262,13 +290,12 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
         p = _POWER_EXPONENTS[name]
         d_upper, coeff_m = _power_derivative(p, m, a)
         d_upper_plus, coeff_m1 = _power_derivative(p, m + 1, a)
-        if p == int(p) and p < m:
-            exact = lambda t: 0.0  # noqa: E731 - the derivative data is identically zero
-        elif p > m - 1:
-            ratio = math.gamma(p + 1.0) / math.gamma(p - alpha + 1.0)
-            exact = lambda t, _r=ratio, _e=p - alpha, _a=a: _r * (t - _a) ** _e  # noqa: E731
-        else:
-            exact = None
+        # the Caputo derivative of (t - a)^p is its order-alpha power-law
+        # derivative (zero for integer p below alpha); there is no closed
+        # form when the m-th derivative is not integrable at a
+        exact = None
+        if p == int(p) or p > m - 1:
+            exact, _ = _power_derivative(p, alpha, a)
         sup = None if coeff_m is None else abs(coeff_m) * T ** max(p - m, 0.0)
         sup_plus = None if coeff_m1 is None else abs(coeff_m1) * T ** max(p - m - 1, 0.0)
         return TestFunction(

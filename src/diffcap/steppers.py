@@ -25,7 +25,8 @@ import numpy as np
 
 from .diffusive import DerivativeProblem, DiffusiveSystem, TimeGrid, build_system
 from .errors import EvaluationError, InvalidParameterError
-from .quadrature import QuadratureRule, truncate_rule
+from .quadrature import QuadratureRule
+from .quadrature import truncate_rule  # noqa: F401 - perfbench/tracing.py rebinds this name
 
 BACKWARD_EULER = "backward-euler"
 TRAPEZOIDAL = "trapezoidal"
@@ -157,19 +158,16 @@ def iter_solution(
     rule: QuadratureRule,
     grid: TimeGrid,
     method: str = BACKWARD_EULER,
-    k_star: int | None = None,
 ) -> Iterator[SolverState]:
     """Yield the solver state at every grid index, starting from the zero state.
 
     Only one state is alive at a time, so a full sweep costs O(N K) time and
-    O(K) memory regardless of the grid length.  ``k_star`` truncates the rule
-    (and with it the ODE family) to its first k_star nodes.
+    O(K) memory regardless of the grid length.  To run on the first K* nodes
+    only, pass ``truncate_rule(rule, K*)``.
     """
     if method not in _STEP_FUNCTIONS:
         raise InvalidParameterError(f"unknown method {method!r}, expected one of {METHODS}")
     _check_grid(problem, grid)
-    if k_star is not None:
-        rule = truncate_rule(rule, k_star)
     system = build_system(problem, rule)
     step = _STEP_FUNCTIONS[method]
     state = initial_state(system)
@@ -186,10 +184,14 @@ def quadrature_coefficients(rule: QuadratureRule) -> np.ndarray:
     return np.exp(rule.log_weights + rule.nodes)
 
 
-def state_combination(system: DiffusiveSystem, state: SolverState) -> np.ndarray:
-    """Per-node e^{-x_k} fold_phi values: phi(-x/q)/q + phi(x/(1-q))/(1-q)."""
-    k = system.npoints
-    return state.phi[:k] / system.fractional_part + state.phi[k:] / (1.0 - system.fractional_part)
+def state_combination(q: float, state: SolverState) -> np.ndarray:
+    """Per-node folded values phi(-x_k/q)/q + phi(x_k/(1-q))/(1-q).
+
+    ``q`` is the fractional part of the order.  This is e^{-x_k} times the
+    folded integrand at x_k; the e^{x_k} factor lives in the coefficients.
+    """
+    k = len(state.phi) // 2
+    return state.phi[:k] / q + state.phi[k:] / (1.0 - q)
 
 
 def evaluate_derivative(
@@ -197,7 +199,6 @@ def evaluate_derivative(
     rule: QuadratureRule,
     grid: TimeGrid,
     method: str = BACKWARD_EULER,
-    k_star: int | None = None,
 ) -> np.ndarray:
     """Approximate the fractional derivative at every grid point.
 
@@ -205,12 +206,10 @@ def evaluate_derivative(
     Gauss-Laguerre sum over nodes of a_k e^{x_k} times the per-node state
     combination, with the a_k e^{x_k} products formed in log space.
     """
-    if k_star is not None:
-        rule = truncate_rule(rule, k_star)
     coef = quadrature_coefficients(rule)
-    system = build_system(problem, rule)
+    q = problem.fractional_part
     out = np.empty(len(grid.points))
     for state in iter_solution(problem, rule, grid, method=method):
-        out[state.n] = coef @ state_combination(system, state)
+        out[state.n] = coef @ state_combination(q, state)
     out[0] = 0.0
     return out

@@ -26,10 +26,10 @@ from diffcap import (
     backward_euler_log_amplification,
     backward_euler_step,
     brute_force_caputo,
-    build_system,
     corpus_function,
     decompose_error,
     evaluate_derivative,
+    exact_combination,
     exact_phi,
     fit_rate,
     gauss_laguerre_rule,
@@ -44,7 +44,6 @@ from diffcap import (
     uniform_grid,
     verify_ode_error_bound,
 )
-from diffcap.analysis import _exact_combination
 from diffcap.cli import parse_config, run
 from diffcap.steppers import quadrature_coefficients, state_combination
 
@@ -150,16 +149,16 @@ def test_criterion_04_end_to_end_accuracy():
 
     n_list = (250, 500, 1000, 2000)
     coef = quadrature_coefficients(rule)
-    system = build_system(problem, rule)
-    exact_combo = _exact_combination(problem, rule, 1.0, 1e-12)
+    q = problem.fractional_part
+    exact_combo = exact_combination(problem, rule, 1.0, 1e-12)
     composite = []
     ode_part = []
     for n_steps in n_list:
         grid = uniform_grid(0.0, 1.0, n_steps)
         *_, last = iter_solution(problem, rule, grid, method=BACKWARD_EULER)
-        scheme = float(coef @ state_combination(system, last))
+        scheme = float(coef @ state_combination(q, last))
         composite.append(abs(scheme - exact))
-        ode_part.append(abs(float(coef @ (exact_combo - state_combination(system, last)))))
+        ode_part.append(abs(float(coef @ (exact_combo - state_combination(q, last)))))
     decreasing = all(a > b for a, b in zip(composite, composite[1:]))
     hs = [1.0 / n for n in n_list]
     ode_slope = fit_rate(hs, ode_part).slope

@@ -139,6 +139,35 @@ def test_parse_k_star_requires_k():
         )
 
 
+_DERIVATIVE = "command = derivative\nalpha = 0.5\na = 0\nT = 1\nN = 4\nK = 4\nfunction = pow2\n"
+_CONVERGENCE = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_CONVERGENCE + "K = 4\nN_list = 0,4", "N_list: entries must be at least 1"),
+        (_CONVERGENCE + "N = 10\nK_list = 0,4", "K_list: entries must lie in [1, 256]"),
+        (_CONVERGENCE + "N = 10\nK_list = 2,300", "K_list: entries must lie in [1, 256]"),
+        (_DERIVATIVE + "truth_tol = 1e-3", "truth_tol: must lie in [1e-14, 1e-06]"),
+        (_DERIVATIVE + "truth_tol = 1e-20", "truth_tol: must lie in [1e-14, 1e-06]"),
+        (
+            _DERIVATIVE.replace("derivative", "decompose") + "truth_tol = 1e-7",
+            "truth_tol: decompose requires truth_tol <= 1e-8",
+        ),
+        (_DERIVATIVE + "grid = graded(x)", "grid: bad grading exponent in 'graded(x)'"),
+        (_DERIVATIVE + "grid = graded(-1)", "grid: grading exponent must be positive"),
+        (_DERIVATIVE + "grid = graded(0)", "grid: grading exponent must be positive"),
+        ("command = nodes\nK =\n", "line 2: empty value for 'K'"),
+        (_CONVERGENCE + "N = 50\nK_list = 2,4\nK_star = 2", "K_star requires an explicit K"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
 def test_run_nodes_single_point(tmp_path, capsys):
     config = parse_config("command = nodes\nK = 1")
     assert run(config) == EXIT_OK
@@ -181,6 +210,21 @@ def test_run_derivative_without_closed_form_leaves_columns_empty(capsys):
     assert run(config) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].endswith(",,")
+
+
+def test_run_derivative_exact_column_is_infinite_at_a(capsys):
+    # the closed form (t - a)^(2.5 - alpha) of pow2.5 is infinite at t = a for alpha > 2.5
+    argv = ["derivative", "alpha=2.7", "a=0", "T=1", "N=4", "K=8", "function=pow2.5"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "0,0.0,0.0,inf,inf"
+    assert all(math.isfinite(float(field)) for line in lines[2:] for field in line.split(","))
+
+
+def test_run_convergence_with_infinite_exact_value_is_numerical_failure(capsys):
+    argv = ["convergence", "alpha=2.7", "a=0", "T=1", "K=12", "function=pow2.5", "N_list=8,16,32"]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "non-finite max errors" in capsys.readouterr().err
 
 
 def test_run_decompose_schema(capsys):

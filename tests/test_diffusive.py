@@ -12,7 +12,6 @@ from diffcap import (
     build_system,
     gauss_laguerre_rule,
     graded_grid,
-    fold_phi,
     fractional_part,
     signed_prefactor,
     stiffness_report,
@@ -91,33 +90,9 @@ def test_node_sets_scale_exactly(alpha, k):
     assert len(system.w_minus) == len(system.w_plus) == k
 
 
-def test_fold_phi_at_zero_argument():
-    system = build_system(_problem(0.3), gauss_laguerre_rule(1))
-    p = 0.7
-    expected = p * (1.0 / system.fractional_part + 1.0 / (1.0 - system.fractional_part))
-    assert fold_phi(system, p, p, 0.0) == pytest.approx(expected, rel=1e-14)
-
-
-def test_fold_phi_vanishes_with_zero_phi():
-    system = build_system(_problem(0.5), gauss_laguerre_rule(1))
-    assert fold_phi(system, 0.0, 0.0, 17.0) == 0.0
-
-
-def test_fold_phi_direct_substitution():
-    system = build_system(_problem(0.5), gauss_laguerre_rule(1))
-    assert fold_phi(system, 0.1, 0.2, 1.0) == pytest.approx(0.6 * math.e, rel=1e-13)
-
-
-def test_fold_phi_rejects_negative_argument():
-    system = build_system(_problem(0.5), gauss_laguerre_rule(1))
-    with pytest.raises(InvalidParameterError):
-        fold_phi(system, 0.1, 0.2, -1.0)
-
-
 def test_stiffness_single_node():
     report = stiffness_report(build_system(_problem(0.5), gauss_laguerre_rule(1)))
     assert report.log10_lipschitz_max == pytest.approx(2.0 / math.log(10.0), rel=1e-14)
-    assert not report.any_stiff
 
 
 def test_stiffness_negative_block_is_contractive():
@@ -137,7 +112,6 @@ def test_stiffness_flags_large_exponents():
     report = stiffness_report(build_system(problem, rule))
     assert report.log_lipschitz_max == pytest.approx(rule.nodes[-1] / 0.1, rel=1e-14)
     assert report.log_lipschitz_max < 820.0  # Szego: x_max < 82
-    assert report.any_stiff
 
 
 def test_problem_validation():

@@ -26,7 +26,8 @@ from diffcap import (
     trapezoidal_step,
     uniform_grid,
 )
-from diffcap.steppers import SolverState
+from diffcap.quadrature import truncate_rule
+from diffcap.steppers import SolverState, state_combination
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -210,12 +211,26 @@ def test_truncation_reduces_state_size():
     problem = make_problem("pow2", 0.5)
     rule = gauss_laguerre_rule(10)
     grid = uniform_grid(0.0, 1.0, 4)
-    sizes = {state.phi.shape for state in iter_solution(problem, rule, grid, k_star=6)}
+    sizes = {state.phi.shape for state in iter_solution(problem, truncate_rule(rule, 6), grid)}
     assert sizes == {(12,)}
     full = evaluate_derivative(problem, rule, grid)
-    cut = evaluate_derivative(problem, rule, grid, k_star=6)
+    cut = evaluate_derivative(problem, truncate_rule(rule, 6), grid)
     assert cut.shape == full.shape
     assert not np.allclose(full[1:], cut[1:])
+
+
+def test_state_combination_equal_phi_values():
+    q = 0.3
+    p = 0.7
+    state = SolverState(n=1, phi=np.array([p, p]))
+    expected = p * (1.0 / q + 1.0 / (1.0 - q))
+    assert state_combination(q, state) == pytest.approx([expected], rel=1e-14)
+
+
+def test_state_combination_direct_substitution():
+    # W_minus block first, then W_plus: node k pairs phi[k] with phi[K + k]
+    state = SolverState(n=1, phi=np.array([0.1, 0.3, 0.2, 0.4]))
+    assert state_combination(0.5, state) == pytest.approx([0.6, 1.4], rel=1e-13)
 
 
 def test_state_is_two_k_numbers_independent_of_grid_length():
