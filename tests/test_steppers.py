@@ -24,9 +24,9 @@ from diffcap import (
     signed_prefactor,
     trapezoidal_amplification,
     trapezoidal_step,
+    truncate_rule,
     uniform_grid,
 )
-from diffcap.quadrature import truncate_rule
 from diffcap.steppers import SolverState, state_combination
 
 
