@@ -24,7 +24,6 @@ from .analysis import (
 from .diffusive import (
     DerivativeProblem,
     DiffusiveSystem,
-    StiffnessReport,
     TimeGrid,
     build_system,
     graded_grid,
@@ -48,7 +47,6 @@ from .oracle import (
     corpus_names,
     exact_combination,
     exact_phi,
-    exact_folded_phi,
     make_problem,
     reference_quadrature,
 )

@@ -33,12 +33,9 @@ from .oracle import (
     require_d_upper_plus,
 )
 from .quadrature import QuadratureRule, gauss_laguerre_rule
-from .steppers import (
-    BACKWARD_EULER,
-    iter_solution,
-    quadrature_coefficients,
-    state_combination,
-)
+from .steppers import BACKWARD_EULER, evaluate_derivative, quadrature_coefficients
+from .steppers import iter_solution  # noqa: F401 - perfbench/tracing.py rebinds this name
+from .steppers import state_combination  # noqa: F401 - perfbench/tracing.py rebinds this name
 
 _NORM_SAMPLES = 10001
 _LOG10 = math.log(10.0)
@@ -76,17 +73,9 @@ def ode_error_profile(
     method: str = BACKWARD_EULER,
     truth_tol: float = 1e-10,
 ) -> np.ndarray:
-    """The ODE error component at every grid index (index 0 is exactly 0)."""
-    coef = quadrature_coefficients(rule)
-    q = problem.fractional_part
-    out = np.empty(len(grid.points))
-    for state in iter_solution(problem, rule, grid, method=method):
-        if state.n == 0:
-            out[0] = 0.0
-            continue
-        exact = exact_combination(problem, rule, float(grid.points[state.n]), truth_tol)
-        out[state.n] = coef @ (exact - state_combination(q, state))
-    return out
+    """The ODE error r_ode at every grid index, as decompose_error reports it (index 0 is 0)."""
+    scheme = evaluate_derivative(problem, rule, grid, method=method)
+    return _exact_sums(problem, rule, grid, truth_tol) - scheme
 
 
 def quadrature_error(
@@ -101,6 +90,16 @@ def quadrature_error(
 def _rule_sum(problem: DerivativeProblem, rule: QuadratureRule, t: float, truth_tol: float) -> float:
     """The rule applied to the exact folded integrand at time t."""
     return float(quadrature_coefficients(rule) @ exact_combination(problem, rule, t, truth_tol))
+
+
+def _exact_sums(
+    problem: DerivativeProblem, rule: QuadratureRule, grid: TimeGrid, truth_tol: float
+) -> np.ndarray:
+    """``_rule_sum`` at every grid time; 0 at t_0 = a, where every phi vanishes."""
+    sums = np.zeros(len(grid.points))
+    for n in range(1, len(grid.points)):
+        sums[n] = _rule_sum(problem, rule, float(grid.points[n]), truth_tol)
+    return sums
 
 
 def decompose_error(
@@ -119,24 +118,18 @@ def decompose_error(
     """
     if not (1e-14 <= truth_tol <= 1e-8):
         raise InvalidParameterError(f"truth_tol must lie in [1e-14, 1e-8], got {truth_tol}")
-    coef = quadrature_coefficients(rule)
-    q = problem.fractional_part
-    rows: list[ErrorDecomposition] = []
-    for state in iter_solution(problem, rule, grid, method=method):
-        n = state.n
-        if n == 0:
-            rows.append(ErrorDecomposition(0, 0.0, 0.0, 0.0, truth_tol))
-            continue
+    scheme = evaluate_derivative(problem, rule, grid, method=method)
+    exact_sums = _exact_sums(problem, rule, grid, truth_tol)
+    rows = [ErrorDecomposition(0, 0.0, 0.0, 0.0, truth_tol)]
+    for n in range(1, len(grid.points)):
         t = float(grid.points[n])
-        scheme = float(coef @ state_combination(q, state))
-        exact = exact_combination(problem, rule, t, truth_tol)
-        exact_sum = float(coef @ exact)
+        value, exact_sum = float(scheme[n]), float(exact_sums[n])
         rows.append(
             ErrorDecomposition(
                 n=n,
-                r_total=brute_force_caputo(problem, t, truth_tol) - scheme,
+                r_total=brute_force_caputo(problem, t, truth_tol) - value,
                 r_q=reference_quadrature(problem, t, truth_tol) - exact_sum,
-                r_ode=exact_sum - scheme,
+                r_ode=exact_sum - value,
                 oracle_tol=truth_tol,
             )
         )

@@ -16,6 +16,7 @@ import argparse
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -273,9 +274,8 @@ def _run_nodes(config: RunConfig) -> list[str]:
 
 def _run_stiffness(config: RunConfig) -> list[str]:
     problem = DerivativeProblem(alpha=config.alpha, a=0.0, T=1.0, d_upper=lambda t: 0.0)
-    report = stiffness_report(build_system(problem, _rule_for(config, config.k)))
     lines = ["k,w,log10_lipschitz"]
-    for row in report.rows:
+    for row in stiffness_report(build_system(problem, _rule_for(config, config.k))):
         lines.append(f"{row.k},{_fmt(row.w)},{_fmt(row.log10_lipschitz)}")
     return lines
 
@@ -334,7 +334,18 @@ def _run_convergence(config: RunConfig) -> list[str]:
     lines = ["resolution,max_err"]
     for resolution, err in zip(resolutions, errs):
         lines.append(f"{resolution},{_fmt(err)}")
-    fit = fit_rate([float(r) for r in resolutions], errs)
+    with warnings.catch_warnings():
+        # fit_rate warns once per dropped zero error; the error below names them all
+        warnings.simplefilter("ignore")
+        try:
+            fit = fit_rate([float(r) for r in resolutions], errs)
+        except InsufficientDataError as exc:
+            zero = [str(r) for r, err in zip(resolutions, errs) if err == 0.0]
+            if not zero:
+                raise
+            raise InsufficientDataError(
+                f"{exc}; the max error is 0 at resolutions {', '.join(zero)}"
+            ) from None
     lines.append(f"{_fmt(fit.slope)},{_fmt(fit.r2)}")
     return lines
 

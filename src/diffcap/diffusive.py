@@ -135,35 +135,26 @@ class StiffnessRow:
     log10_lipschitz: float
 
 
-@dataclass(frozen=True)
-class StiffnessReport:
-    """Per-node Lipschitz constants e^w of the auxiliary ODEs, in log form.
+def stiffness_report(system: DiffusiveSystem) -> tuple[StiffnessRow, ...]:
+    """Every node's Lipschitz constant e^w, as its exponent w and in log10 form.
 
     Rows cover the W_minus block (all constants in (0, 1)) followed by the
-    W_plus block, whose largest constant exp(x_max / (1 - q)) is reported as
-    ``log_lipschitz_max`` / ``log10_lipschitz_max`` and can vastly exceed
-    double range.
+    W_plus block, whose last row holds the largest constant
+    exp(x_max / (1 - q)); it can vastly exceed double range.
     """
-
-    rows: tuple[StiffnessRow, ...]
-    log_lipschitz_max: float
-    log10_lipschitz_max: float
-
-
-def stiffness_report(system: DiffusiveSystem) -> StiffnessReport:
-    """Report every node's decay exponent, in natural and decimal log form."""
     log10e = 1.0 / math.log(10.0)
     rows = []
     for block in (system.w_minus, system.w_plus):
         for k, w in enumerate(block, start=1):
             w = float(w)
             rows.append(StiffnessRow(k=k, w=w, log10_lipschitz=w * log10e))
-    ln_max = float(system.w_plus[-1])
-    return StiffnessReport(
-        rows=tuple(rows),
-        log_lipschitz_max=ln_max,
-        log10_lipschitz_max=ln_max * log10e,
-    )
+    return tuple(rows)
+
+
+def _rounding_slack(t0: float, t_end: float) -> float:
+    """Rounding room for grid times on [t0, t_end]: 1e-12 of the span plus 4 ulps of
+    max(|t0|, |t_end|), as uniform_grid's steps miss h by up to 2.2 ulps of that."""
+    return 1e-12 * (t_end - t0) + 4.0 * math.ulp(max(abs(t0), abs(t_end)))
 
 
 @dataclass(frozen=True)
@@ -191,8 +182,7 @@ class TimeGrid:
         if self.uniform:
             if self.h is None:
                 raise InvalidParameterError("uniform grids must carry their step h")
-            span = pts[-1] - pts[0]
-            if np.max(np.abs(steps - self.h)) > 1e-12 * span:
+            if np.max(np.abs(steps - self.h)) > _rounding_slack(pts[0], pts[-1]):
                 raise InvalidParameterError("grid marked uniform has non-uniform steps")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

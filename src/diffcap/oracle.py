@@ -5,8 +5,8 @@ Three reference routes are provided:
 * ``exact_phi`` evaluates the auxiliary-ODE solution at a fixed time through
   its closed integral form (the derivative data convolved with a pure
   exponential), by adaptive quadrature on an analytically clipped window.
-  ``exact_folded_phi`` and ``exact_combination`` fold two such values into
-  the integrand of the diffusive representation, at one node or at all.
+  ``exact_combination`` folds two such values into the integrand of the
+  diffusive representation at every node of a rule.
 * ``reference_quadrature`` integrates the diffusive representation itself
   over the auxiliary variable, giving a high-accuracy derivative value.
 * ``brute_force_caputo`` evaluates the defining weakly singular integral
@@ -143,31 +143,12 @@ def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12
     return _phi_integral(problem, float(w), t, tol)
 
 
-def _folded(
-    problem: DerivativeProblem, w: float, t: float, tol_minus: float, tol_plus: float
-) -> float:
-    """phi(-w/q, t)/q + phi(w/(1-q), t)/(1-q), each phi within its own tolerance."""
+def _folded(problem: DerivativeProblem, w: float, t: float, tol: float) -> float:
+    """phi(-w/q, t)/q + phi(w/(1-q), t)/(1-q), each phi within ``tol``."""
     q = problem.fractional_part
-    phi_minus = _phi_integral(problem, -w / q, t, tol_minus)
-    phi_plus = _phi_integral(problem, w / (1.0 - q), t, tol_plus)
+    phi_minus = _phi_integral(problem, -w / q, t, tol)
+    phi_plus = _phi_integral(problem, w / (1.0 - q), t, tol)
     return phi_minus / q + phi_plus / (1.0 - q)
-
-
-def exact_folded_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12) -> float:
-    """Reference value of the folded integrand at node argument w >= 0."""
-    tol = _validate_tol(tol)
-    t = _validate_time(problem, t)
-    w = float(w)
-    if w < 0.0:
-        raise InvalidParameterError(f"node argument must be nonnegative, got {w}")
-    q = problem.fractional_part
-    tol_minus = _bounded_exp(math.log(0.5 * tol * q) - w)
-    tol_plus = _bounded_exp(math.log(0.5 * tol * (1.0 - q)) - w)
-    combo = _folded(problem, w, t, tol_minus, tol_plus)
-    if combo == 0.0:
-        return 0.0
-    magnitude = math.exp(w + math.log(abs(combo)))
-    return math.copysign(magnitude, combo)
 
 
 def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float) -> np.ndarray:
@@ -185,7 +166,7 @@ def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float)
     out = np.empty(npoints)
     for k, x in enumerate(rule.nodes):
         tol_k = max(math.exp(min(split - coef_log[k], math.log(1e6))), 1e-300)
-        out[k] = _folded(problem, x, t, tol_k, tol_k)
+        out[k] = _folded(problem, x, t, tol_k)
     return out
 
 
@@ -204,9 +185,7 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     q = problem.fractional_part
     w_max = 30.0 - math.log(tol)
     branch_tol = tol * min(q, 1.0 - q) / (4.0 * w_max)
-    return _adaptive_integral(
-        lambda w: _folded(problem, w, t, branch_tol, branch_tol), 0.0, w_max, tol
-    )
+    return _adaptive_integral(lambda w: _folded(problem, w, t, branch_tol), 0.0, w_max, tol)
 
 
 def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diffusive import DerivativeProblem, DiffusiveSystem, TimeGrid, build_system
+from .diffusive import DerivativeProblem, DiffusiveSystem, TimeGrid, _rounding_slack, build_system
 from .errors import EvaluationError, InvalidParameterError
 from .quadrature import QuadratureRule
 from .quadrature import truncate_rule  # noqa: F401 - perfbench/tracing.py rebinds this name
@@ -65,14 +65,18 @@ def _log_one_plus_h_exp(w: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise InvalidParameterError(f"step size must be positive, got {h}")
+
+
 def backward_euler_log_amplification(w, h: float):
     """ln of the backward-Euler amplification factor 1 / (1 + h e^w).
 
     Always finite and strictly negative, even where the factor itself
     underflows double precision.
     """
-    if h <= 0.0:
-        raise InvalidParameterError(f"step size must be positive, got {h}")
+    _check_step(h)
     return -_log_one_plus_h_exp(np.asarray(w, dtype=float), h)
 
 
@@ -89,8 +93,7 @@ def trapezoidal_amplification(w, h: float):
 
     Bounded in (-1, 1] with the A-stability limit -1 as h e^w grows.
     """
-    if h <= 0.0:
-        raise InvalidParameterError(f"step size must be positive, got {h}")
+    _check_step(h)
     u = np.asarray(w, dtype=float) + math.log(0.5 * h)
     return -np.tanh(0.5 * u)
 
@@ -102,6 +105,14 @@ def _forcing_value(problem: DerivativeProblem, t: float) -> float:
     return g
 
 
+def _advance(
+    state: SolverState, system: DiffusiveSystem, amp, h_eff: float, log_decay, g: float
+) -> SolverState:
+    """phi <- A phi + h_eff c e^{w q} e^{log_decay} g, the gain formed in log space."""
+    gain = np.exp(math.log(h_eff) + system.fractional_part * system.exponents + log_decay)
+    return SolverState(n=state.n + 1, phi=state.phi * amp + (system.c * g) * gain)
+
+
 def backward_euler_step(
     state: SolverState,
     system: DiffusiveSystem,
@@ -110,15 +121,9 @@ def backward_euler_step(
     h: float,
 ) -> SolverState:
     """One implicit Euler step: phi <- (phi + h c e^{w q} g(t_next)) / (1 + h e^w)."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise InvalidParameterError(f"step size must be positive, got {h}")
+    log_amp = backward_euler_log_amplification(system.exponents, h)
     g = _forcing_value(problem, t_next)
-    w = system.exponents
-    s = _log_one_plus_h_exp(w, h)
-    decay = np.exp(-s)
-    forcing_gain = np.exp(math.log(h) + system.fractional_part * w - s)
-    phi = state.phi * decay + (system.c * g) * forcing_gain
-    return SolverState(n=state.n + 1, phi=phi)
+    return _advance(state, system, np.exp(log_amp), h, log_amp, g)
 
 
 def trapezoidal_step(
@@ -129,24 +134,19 @@ def trapezoidal_step(
     h: float,
 ) -> SolverState:
     """One trapezoidal step, forcing averaged over both interval endpoints."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise InvalidParameterError(f"step size must be positive, got {h}")
-    g0 = _forcing_value(problem, t_next - h)
-    g1 = _forcing_value(problem, t_next)
-    w = system.exponents
-    u = w + math.log(0.5 * h)
-    amp = -np.tanh(0.5 * u)
-    s = _log_one_plus_h_exp(w, 0.5 * h)
-    forcing_gain = np.exp(math.log(0.5 * h) + system.fractional_part * w - s)
-    phi = state.phi * amp + (system.c * (g0 + g1)) * forcing_gain
-    return SolverState(n=state.n + 1, phi=phi)
+    amp = trapezoidal_amplification(system.exponents, h)
+    g = _forcing_value(problem, t_next - h) + _forcing_value(problem, t_next)
+    # the forcing gain (h/2) c e^{w q} / (1 + h e^w / 2) holds the half step's Euler factor
+    log_decay = backward_euler_log_amplification(system.exponents, 0.5 * h)
+    return _advance(state, system, amp, 0.5 * h, log_decay, g)
 
 
 _STEP_FUNCTIONS = {BACKWARD_EULER: backward_euler_step, TRAPEZOIDAL: trapezoidal_step}
 
 
 def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
-    if abs(grid.points[0] - problem.a) > 1e-12 or abs(grid.points[-1] - problem.end) > 1e-12:
+    slack = _rounding_slack(grid.points[0], grid.points[-1])
+    if abs(grid.points[0] - problem.a) > slack or abs(grid.points[-1] - problem.end) > slack:
         raise InvalidParameterError(
             f"grid endpoints [{grid.points[0]}, {grid.points[-1]}] do not match the "
             f"problem interval [{problem.a}, {problem.end}]"

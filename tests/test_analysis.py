@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from diffcap import (
+    BACKWARD_EULER,
+    TRAPEZOIDAL,
     DerivativeProblem,
     InsufficientDataError,
     InvalidParameterError,
@@ -12,6 +14,7 @@ from diffcap import (
     decompose_error,
     fit_rate,
     gauss_laguerre_rule,
+    graded_grid,
     ode_error_constant,
     make_problem,
     quadrature_decay_study,
@@ -93,6 +96,18 @@ def test_ode_profile_starts_at_zero_and_shrinks_with_h():
     fine = ode_error_profile(problem, rule, uniform_grid(0.0, 1.0, 64))
     assert coarse[0] == 0.0
     assert np.max(np.abs(fine)) < np.max(np.abs(coarse))
+
+
+@pytest.mark.parametrize("method", [BACKWARD_EULER, TRAPEZOIDAL])
+@pytest.mark.parametrize(
+    "grid", [uniform_grid(0.0, 1.0, 6), graded_grid(0.0, 1.0, 6, 2.0)], ids=["uniform", "graded"]
+)
+def test_ode_profile_is_the_r_ode_column(method, grid):
+    problem = make_problem("sin", 0.7)
+    rule = gauss_laguerre_rule(12)
+    profile = ode_error_profile(problem, rule, grid, method=method, truth_tol=1e-9)
+    rows = decompose_error(problem, rule, grid, method=method, truth_tol=1e-9)
+    assert profile.tolist() == [row.r_ode for row in rows]
 
 
 def test_ode_error_constant_spot_value():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -225,6 +226,20 @@ def test_run_convergence_with_infinite_exact_value_is_numerical_failure(capsys):
     argv = ["convergence", "alpha=2.7", "a=0", "T=1", "K=12", "function=pow2.5", "N_list=8,16,32"]
     assert main(argv) == EXIT_NUMERICAL
     assert "non-finite max errors" in capsys.readouterr().err
+
+
+def test_run_convergence_with_zero_errors_names_them(capsys):
+    # the order-1.5 Caputo derivative of t is 0, and so is every scheme value
+    argv = ["convergence", "alpha=1.5", "a=0", "T=1", "K=12", "function=pow1", "N_list=8,16,32"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_CONFIG
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "diffcap: config error: rate fit needs at least 3 positive-error points, 0 survived; "
+        "the max error is 0 at resolutions 8, 16, 32"
+    ]
 
 
 def test_run_decompose_schema(capsys):

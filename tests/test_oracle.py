@@ -10,14 +10,16 @@ from diffcap import (
     brute_force_caputo,
     corpus_function,
     corpus_names,
+    exact_combination,
     exact_phi,
-    exact_folded_phi,
+    gauss_laguerre_rule,
     make_problem,
     fractional_part,
     reference_quadrature,
     signed_prefactor,
 )
 from diffcap.oracle import require_d_upper_plus
+from diffcap.quadrature import QuadratureRule
 
 
 def _unit_forcing_problem(alpha: float) -> DerivativeProblem:
@@ -94,28 +96,30 @@ def test_exact_phi_validates_inputs():
         exact_phi(problem, 1.0, 0.5, 1e-15)
 
 
-def test_exact_folded_phi_vanishes_at_left_endpoint():
-    assert exact_folded_phi(_unit_forcing_problem(0.5), 2.0, 0.0, 1e-10) == 0.0
+def _one_node_rule(x: float) -> QuadratureRule:
+    return QuadratureRule(npoints=1, nodes=np.array([x]), log_weights=np.array([0.0]))
 
 
-def test_exact_folded_phi_at_zero_argument():
+def test_exact_combination_vanishes_at_left_endpoint():
+    problem = _unit_forcing_problem(0.5)
+    assert exact_combination(problem, _one_node_rule(2.0), 0.0, 1e-10).tolist() == [0.0]
+
+
+def test_exact_combination_at_zero_argument():
     problem = _unit_forcing_problem(0.3)
     q = 0.3
     expected = (1.0 / q + 1.0 / (1.0 - q)) * exact_phi(problem, 0.0, 1.0, 1e-13)
-    assert exact_folded_phi(problem, 0.0, 1.0, 1e-12) == pytest.approx(expected, rel=1e-9)
+    (value,) = exact_combination(problem, _one_node_rule(0.0), 1.0, 1e-12)
+    assert value == pytest.approx(expected, rel=1e-9)
 
 
-def test_exact_folded_phi_combines_transformed_arguments():
+def test_exact_combination_combines_transformed_arguments():
+    # the one-point Gauss-Laguerre rule has its node at x = 1, so q = 0.5 folds
+    # phi(-2) and phi(2)
     problem = _unit_forcing_problem(0.5)
-    expected = math.e * (
-        2.0 * _phi_unit_forcing(0.5, -2.0, 1.0) + 2.0 * _phi_unit_forcing(0.5, 2.0, 1.0)
-    )
-    assert exact_folded_phi(problem, 1.0, 1.0, 1e-12) == pytest.approx(expected, rel=1e-10)
-
-
-def test_exact_folded_phi_rejects_negative_argument():
-    with pytest.raises(InvalidParameterError):
-        exact_folded_phi(_unit_forcing_problem(0.5), -1.0, 0.5, 1e-10)
+    expected = 2.0 * _phi_unit_forcing(0.5, -2.0, 1.0) + 2.0 * _phi_unit_forcing(0.5, 2.0, 1.0)
+    (value,) = exact_combination(problem, gauss_laguerre_rule(1), 1.0, 1e-12)
+    assert value == pytest.approx(expected, rel=1e-10)
 
 
 def test_reference_quadrature_zero_forcing():

@@ -115,6 +115,11 @@ def test_amplification_rejects_nonpositive_step():
         backward_euler_amplification(1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         trapezoidal_amplification(1.0, -1.0)
+    for h in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            backward_euler_log_amplification(1.0, h)
+        with pytest.raises(InvalidParameterError):
+            trapezoidal_amplification(1.0, h)
 
 
 def test_bounded_forcing_respects_maximum_principle():
@@ -281,3 +286,18 @@ def test_grid_must_match_problem_interval():
     problem = make_problem("pow1", 0.5, a=0.0, T=1.0)
     with pytest.raises(InvalidParameterError):
         evaluate_derivative(problem, gauss_laguerre_rule(3), uniform_grid(0.0, 2.0, 4))
+
+
+def test_uniform_grid_far_from_zero_is_accepted():
+    # steps of a + n h carry rounding of a few ulps of |a|, far above 1e-12 h
+    grid = uniform_grid(1e6, 1.0, 1000)
+    problem = make_problem("pow2", 0.5, a=1e6, T=1.0)
+    values = evaluate_derivative(problem, gauss_laguerre_rule(8), grid)
+    assert np.all(np.isfinite(values))
+
+
+def test_grid_endpoint_check_scales_with_the_interval():
+    # 4e-13 off is within an absolute 1e-12, yet four times the whole interval
+    problem = make_problem("pow1", 0.5, a=0.0, T=1e-13)
+    with pytest.raises(InvalidParameterError, match="do not match"):
+        evaluate_derivative(problem, gauss_laguerre_rule(3), uniform_grid(0.0, 5e-13, 4))
