@@ -56,7 +56,6 @@ from .steppers import (
     METHODS,
     TRAPEZOIDAL,
     SolverState,
-    backward_euler_amplification,
     backward_euler_log_amplification,
     backward_euler_step,
     evaluate_derivative,

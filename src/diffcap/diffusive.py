@@ -151,24 +151,15 @@ def stiffness_report(system: DiffusiveSystem) -> tuple[StiffnessRow, ...]:
     return tuple(rows)
 
 
-def _rounding_slack(t0: float, t_end: float) -> float:
-    """Rounding room for grid times on [t0, t_end]: 1e-12 of the span plus 4 ulps of
-    max(|t0|, |t_end|), as uniform_grid's steps miss h by up to 2.2 ulps of that."""
-    return 1e-12 * (t_end - t0) + 4.0 * math.ulp(max(abs(t0), abs(t_end)))
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing evaluation times t_0 < ... < t_N.
 
-    ``uniform`` grids carry their step ``h``; non-uniform grids leave it None.
-    The scheme itself runs on any grid (the stepping is one-step), but the
-    a-priori ODE-error bound is only stated for uniform ones.
+    The scheme runs on any grid (the stepping is one-step); the a-priori
+    ODE-error bound is only stated for uniform ones.
     """
 
     points: np.ndarray
-    uniform: bool
-    h: float | None = None
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -176,14 +167,8 @@ class TimeGrid:
             raise InvalidParameterError("a grid needs at least two points")
         if not np.all(np.isfinite(pts)):
             raise InvalidParameterError("grid points must be finite")
-        steps = np.diff(pts)
-        if np.any(steps <= 0.0):
+        if np.any(np.diff(pts) <= 0.0):
             raise InvalidParameterError("grid points must be strictly increasing")
-        if self.uniform:
-            if self.h is None:
-                raise InvalidParameterError("uniform grids must carry their step h")
-            if np.max(np.abs(steps - self.h)) > _rounding_slack(pts[0], pts[-1]):
-                raise InvalidParameterError("grid marked uniform has non-uniform steps")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -198,7 +183,7 @@ def uniform_grid(a: float, T: float, n_steps: int) -> TimeGrid:
         raise InvalidParameterError(f"need at least one step, got {n_steps}")
     points = a + (T / n_steps) * np.arange(n_steps + 1, dtype=float)
     points[-1] = a + T
-    return TimeGrid(points=points, uniform=True, h=T / n_steps)
+    return TimeGrid(points)
 
 
 def graded_grid(a: float, T: float, n_steps: int, exponent: float = 2.0) -> TimeGrid:
@@ -210,4 +195,4 @@ def graded_grid(a: float, T: float, n_steps: int, exponent: float = 2.0) -> Time
     frac = np.arange(n_steps + 1, dtype=float) / n_steps
     points = a + T * frac**exponent
     points[-1] = a + T
-    return TimeGrid(points=points, uniform=(exponent == 1.0), h=T / n_steps if exponent == 1.0 else None)
+    return TimeGrid(points)

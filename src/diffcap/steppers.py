@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diffusive import DerivativeProblem, DiffusiveSystem, TimeGrid, _rounding_slack, build_system
+from .diffusive import DerivativeProblem, DiffusiveSystem, TimeGrid, build_system
 from .errors import EvaluationError, InvalidParameterError
 from .quadrature import QuadratureRule
 from .quadrature import truncate_rule  # noqa: F401 - perfbench/tracing.py rebinds this name
@@ -47,24 +47,6 @@ def initial_state(system: DiffusiveSystem) -> SolverState:
     return SolverState(n=0, phi=phi)
 
 
-def _log_one_plus_h_exp(w: np.ndarray, h: float) -> np.ndarray:
-    """ln(1 + h e^w) elementwise, without ever forming an overflowing e^w."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    neg = w <= 0.0
-    out[neg] = np.log1p(h * np.exp(w[neg]))
-    wp = w[~neg]
-    if wp.size:
-        r = np.exp(-wp) / h
-        big = r <= 1.0
-        vals = np.empty_like(wp)
-        vals[big] = wp[big] + math.log(h) + np.log1p(r[big])
-        # remaining case: h e^w < 1, representable as exp(w + ln h)
-        vals[~big] = np.log1p(np.exp(wp[~big] + math.log(h)))
-        out[~neg] = vals
-    return out
-
-
 def _check_step(h: float) -> None:
     if not (math.isfinite(h) and h > 0.0):
         raise InvalidParameterError(f"step size must be positive, got {h}")
@@ -77,15 +59,7 @@ def backward_euler_log_amplification(w, h: float):
     underflows double precision.
     """
     _check_step(h)
-    return -_log_one_plus_h_exp(np.asarray(w, dtype=float), h)
-
-
-def backward_euler_amplification(w, h: float):
-    """Backward-Euler amplification factor, in (0, 1) for every h > 0 and real w.
-
-    May underflow to 0.0 for h e^w beyond ~1e308; use the log form there.
-    """
-    return np.exp(backward_euler_log_amplification(w, h))
+    return -np.logaddexp(0.0, np.asarray(w, dtype=float) + math.log(h))
 
 
 def trapezoidal_amplification(w, h: float):
@@ -135,7 +109,8 @@ def trapezoidal_step(
 ) -> SolverState:
     """One trapezoidal step, forcing averaged over both interval endpoints."""
     amp = trapezoidal_amplification(system.exponents, h)
-    g = _forcing_value(problem, t_next - h) + _forcing_value(problem, t_next)
+    # t_next - h may round below the previous grid time; a is the lowest time d_upper sees
+    g = _forcing_value(problem, max(t_next - h, problem.a)) + _forcing_value(problem, t_next)
     # the forcing gain (h/2) c e^{w q} / (1 + h e^w / 2) holds the half step's Euler factor
     log_decay = backward_euler_log_amplification(system.exponents, 0.5 * h)
     return _advance(state, system, amp, 0.5 * h, log_decay, g)
@@ -145,10 +120,13 @@ _STEP_FUNCTIONS = {BACKWARD_EULER: backward_euler_step, TRAPEZOIDAL: trapezoidal
 
 
 def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
-    slack = _rounding_slack(grid.points[0], grid.points[-1])
-    if abs(grid.points[0] - problem.a) > slack or abs(grid.points[-1] - problem.end) > slack:
+    # rounding room: 1e-12 of the span plus 4 ulps of the largest |t|, as
+    # uniform_grid's times miss a + n h by up to 2.2 ulps of that
+    t0, t_end = grid.points[0], grid.points[-1]
+    slack = 1e-12 * (t_end - t0) + 4.0 * math.ulp(max(abs(t0), abs(t_end)))
+    if abs(t0 - problem.a) > slack or abs(t_end - problem.end) > slack:
         raise InvalidParameterError(
-            f"grid endpoints [{grid.points[0]}, {grid.points[-1]}] do not match the "
+            f"grid endpoints [{t0}, {t_end}] do not match the "
             f"problem interval [{problem.a}, {problem.end}]"
         )
 

@@ -222,6 +222,16 @@ def test_run_derivative_exact_column_is_infinite_at_a(capsys):
     assert all(math.isfinite(float(field)) for line in lines[2:] for field in line.split(","))
 
 
+def test_run_trapezoidal_derivative_never_evaluates_before_a(capsys):
+    # t_1 - h rounds below a here, where the upper derivative (t - a)^0.5 of pow2.5 is complex
+    argv = ["derivative", "alpha=0.5", "a=0.028", "T=1.18", "N=5", "K=8", "function=pow2.5",
+            "method=trapezoidal"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert all(math.isfinite(float(field)) for line in lines[1:] for field in line.split(","))
+
+
 def test_run_convergence_with_infinite_exact_value_is_numerical_failure(capsys):
     argv = ["convergence", "alpha=2.7", "a=0", "T=1", "K=12", "function=pow2.5", "N_list=8,16,32"]
     assert main(argv) == EXIT_NUMERICAL

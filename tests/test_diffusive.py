@@ -125,8 +125,6 @@ def test_problem_validation():
 
 def test_uniform_grid_construction():
     grid = uniform_grid(1.0, 2.0, 8)
-    assert grid.uniform
-    assert grid.h == pytest.approx(0.25)
     assert grid.n_steps == 8
     assert grid.points[0] == 1.0
     assert grid.points[-1] == 3.0
@@ -134,22 +132,12 @@ def test_uniform_grid_construction():
 
 def test_graded_grid_clusters_toward_left_endpoint():
     grid = graded_grid(0.0, 1.0, 10, exponent=2.0)
-    assert not grid.uniform
     steps = np.diff(grid.points)
     assert np.all(np.diff(steps) > 0.0)
     assert grid.points[0] == 0.0
     assert grid.points[-1] == 1.0
 
 
-def test_graded_grid_with_unit_exponent_is_uniform():
-    assert graded_grid(0.0, 1.0, 4, exponent=1.0).uniform
-
-
 def test_grid_rejects_non_monotone_points():
     with pytest.raises(InvalidParameterError):
-        TimeGrid(points=np.array([0.0, 0.5, 0.5, 1.0]), uniform=False)
-
-
-def test_grid_rejects_wrong_uniform_claim():
-    with pytest.raises(InvalidParameterError):
-        TimeGrid(points=np.array([0.0, 0.1, 0.9, 1.0]), uniform=True, h=0.5)
+        TimeGrid(points=np.array([0.0, 0.5, 0.5, 1.0]))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diffcap import (
     BACKWARD_EULER,
@@ -11,7 +11,6 @@ from diffcap import (
     DiffusiveSystem,
     EvaluationError,
     InvalidParameterError,
-    backward_euler_amplification,
     backward_euler_log_amplification,
     backward_euler_step,
     build_system,
@@ -106,13 +105,27 @@ def test_backward_euler_is_a_stable(w, h):
     log_amp = float(backward_euler_log_amplification(w, h))
     assert math.isfinite(log_amp)
     assert log_amp < 0.0
-    amp = float(backward_euler_amplification(w, h))
+    amp = float(np.exp(log_amp))
     assert 0.0 <= amp <= 1.0
+
+
+def test_log_amplification_matches_mpmath():
+    # -ln(1 + h e^w) at 40 digits, over the exponents the W+ block reaches
+    mpmath = pytest.importorskip("mpmath")
+    ws = np.linspace(-60.0, 800.0, 431)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for h in np.logspace(-8.0, 1.0, 19):
+            got = backward_euler_log_amplification(ws, float(h))
+            for w, value in zip(ws, got):
+                exact = -mpmath.log1p(mpmath.mpf(float(h)) * mpmath.exp(mpmath.mpf(float(w))))
+                worst = max(worst, float(abs((value - exact) / exact)))
+    assert worst <= 2e-14
 
 
 def test_amplification_rejects_nonpositive_step():
     with pytest.raises(InvalidParameterError):
-        backward_euler_amplification(1.0, 0.0)
+        backward_euler_log_amplification(1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         trapezoidal_amplification(1.0, -1.0)
     for h in (math.inf, math.nan):
@@ -301,3 +314,25 @@ def test_grid_endpoint_check_scales_with_the_interval():
     problem = make_problem("pow1", 0.5, a=0.0, T=1e-13)
     with pytest.raises(InvalidParameterError, match="do not match"):
         evaluate_derivative(problem, gauss_laguerre_rule(3), uniform_grid(0.0, 5e-13, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(min_value=-10.0, max_value=10.0),
+    T=st.floats(min_value=1e-3, max_value=20.0),
+    n_steps=st.integers(min_value=1, max_value=12),
+    method=st.sampled_from([BACKWARD_EULER, TRAPEZOIDAL]),
+    graded=st.booleans(),
+)
+def test_forcing_is_only_evaluated_inside_the_interval(a, T, n_steps, method, graded):
+    times = []
+
+    def d_upper(t):
+        times.append(t)
+        return 1.0
+
+    problem = DerivativeProblem(alpha=0.5, a=a, T=T, d_upper=d_upper)
+    grid = graded_grid(a, T, n_steps) if graded else uniform_grid(a, T, n_steps)
+    evaluate_derivative(problem, gauss_laguerre_rule(4), grid, method=method)
+    assert times
+    assert all(problem.a <= t <= problem.end for t in times)
