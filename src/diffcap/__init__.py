@@ -56,13 +56,12 @@ from .steppers import (
     METHODS,
     TRAPEZOIDAL,
     SolverState,
+    advance,
     backward_euler_log_amplification,
-    backward_euler_step,
     evaluate_derivative,
     initial_state,
     iter_solution,
     trapezoidal_amplification,
-    trapezoidal_step,
 )
 
 __version__ = "0.1.0"

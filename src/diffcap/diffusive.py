@@ -172,7 +172,7 @@ class TimeGrid:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @property
+    @property  # perfbench/tracing.py reads n_steps as each traced run's N
     def n_steps(self) -> int:
         return len(self.points) - 1
 

@@ -6,9 +6,9 @@ Each transformed node w carries the scalar linear ODE
 
 with g the caller-supplied upper derivative.  The equations are linear with
 constant coefficients, so the implicit backward-Euler and trapezoidal updates
-are solved exactly by division; no iteration is involved.  All coefficients
-are evaluated through log-space expressions because the W_plus exponents reach
-several hundreds.
+are solved exactly by division: both are phi_n = A phi_{n-1} + Q c (g_n +
+theta g_{n-1}), theta = 0 or 1.  All coefficients are evaluated through
+log-space expressions because the W_plus exponents reach several hundreds.
 
 The derivative itself is the weighted sum over nodes, assembled from
 ln a_k + x_k (the weights underflow and e^{x_k} overflows long before their
@@ -72,51 +72,47 @@ def trapezoidal_amplification(w, h: float):
     return -np.tanh(0.5 * u)
 
 
-def _forcing_value(problem: DerivativeProblem, t: float) -> float:
-    g = float(problem.d_upper(t))
-    if not math.isfinite(g):
-        raise EvaluationError(f"d_upper returned a non-finite value at t = {t}")
-    return g
+def _gain(system: DiffusiveSystem, h_eff: float, log_decay) -> np.ndarray:
+    return np.exp(math.log(h_eff) + system.fractional_part * system.exponents + log_decay)
 
 
-def _advance(
-    state: SolverState, system: DiffusiveSystem, amp, h_eff: float, log_decay, g: float
-) -> SolverState:
-    """phi <- A phi + h_eff c e^{w q} e^{log_decay} g, the gain formed in log space."""
-    gain = np.exp(math.log(h_eff) + system.fractional_part * system.exponents + log_decay)
-    return SolverState(n=state.n + 1, phi=state.phi * amp + (system.c * g) * gain)
-
-
-def backward_euler_step(
-    state: SolverState,
-    system: DiffusiveSystem,
-    problem: DerivativeProblem,
-    t_next: float,
-    h: float,
-) -> SolverState:
-    """One implicit Euler step: phi <- (phi + h c e^{w q} g(t_next)) / (1 + h e^w)."""
+def _backward_euler_coefficients(system: DiffusiveSystem, h: float):
+    """A = 1 / (1 + h e^w), theta = 0, Q = h e^{w q} A."""
     log_amp = backward_euler_log_amplification(system.exponents, h)
-    g = _forcing_value(problem, t_next)
-    return _advance(state, system, np.exp(log_amp), h, log_amp, g)
+    return np.exp(log_amp), 0.0, _gain(system, h, log_amp)
 
 
-def trapezoidal_step(
-    state: SolverState,
-    system: DiffusiveSystem,
-    problem: DerivativeProblem,
-    t_next: float,
-    h: float,
-) -> SolverState:
-    """One trapezoidal step, forcing averaged over both interval endpoints."""
+def _trapezoidal_coefficients(system: DiffusiveSystem, h: float):
+    """A = -tanh(ln(h e^w / 2) / 2), theta = 1, Q = (h/2) e^{w q} / (1 + h e^w / 2)."""
     amp = trapezoidal_amplification(system.exponents, h)
-    # t_next - h may round below the previous grid time; a is the lowest time d_upper sees
-    g = _forcing_value(problem, max(t_next - h, problem.a)) + _forcing_value(problem, t_next)
-    # the forcing gain (h/2) c e^{w q} / (1 + h e^w / 2) holds the half step's Euler factor
     log_decay = backward_euler_log_amplification(system.exponents, 0.5 * h)
-    return _advance(state, system, amp, 0.5 * h, log_decay, g)
+    return amp, 1.0, _gain(system, 0.5 * h, log_decay)
 
 
-_STEP_FUNCTIONS = {BACKWARD_EULER: backward_euler_step, TRAPEZOIDAL: trapezoidal_step}
+#: method -> (system, h) -> (A, theta, Q)
+_COEFFICIENTS = {
+    BACKWARD_EULER: _backward_euler_coefficients,
+    TRAPEZOIDAL: _trapezoidal_coefficients,
+}
+
+
+def _check_method(method: str) -> None:
+    if method not in _COEFFICIENTS:
+        raise InvalidParameterError(f"unknown method {method!r}, expected one of {METHODS}")
+
+
+def advance(
+    state: SolverState, system: DiffusiveSystem, method: str, h: float, g_prev: float, g_next: float
+) -> SolverState:
+    """One step of length h: phi <- A phi + Q c (g_next + theta g_prev).
+
+    ``g_prev`` and ``g_next`` are the forcing at the step's left and right
+    ends; backward Euler has theta = 0 and so ignores ``g_prev``.
+    """
+    _check_method(method)
+    amp, theta, gain = _COEFFICIENTS[method](system, h)
+    g = g_next + theta * g_prev
+    return SolverState(n=state.n + 1, phi=state.phi * amp + (system.c * g) * gain)
 
 
 def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
@@ -141,19 +137,24 @@ def iter_solution(
 
     Only one state is alive at a time, so a full sweep costs O(N K) time and
     O(K) memory regardless of the grid length.  To run on the first K* nodes
-    only, pass ``truncate_rule(rule, K*)``.
+    only, pass ``truncate_rule(rule, K*)``.  d_upper is called once per grid
+    time after a; the first step is backward Euler whatever the method (a
+    Rannacher start), so no method reads d_upper(a) or keeps a start-up error.
     """
-    if method not in _STEP_FUNCTIONS:
-        raise InvalidParameterError(f"unknown method {method!r}, expected one of {METHODS}")
+    _check_method(method)
     _check_grid(problem, grid)
     system = build_system(problem, rule)
-    step = _STEP_FUNCTIONS[method]
     state = initial_state(system)
     yield state
     points = grid.points
+    step_method, g_prev = BACKWARD_EULER, 0.0
     for n in range(1, len(points)):
         t_next = float(points[n])
-        state = step(state, system, problem, t_next, t_next - float(points[n - 1]))
+        g_next = float(problem.d_upper(t_next))
+        if not math.isfinite(g_next):
+            raise EvaluationError(f"d_upper returned a non-finite value at t = {t_next}")
+        state = advance(state, system, step_method, t_next - float(points[n - 1]), g_prev, g_next)
+        step_method, g_prev = method, g_next
         yield state
 
 

@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from diffcap import (
     BACKWARD_EULER,
+    METHODS,
     TRAPEZOIDAL,
     DerivativeProblem,
     DiffusiveSystem,
     EvaluationError,
     InvalidParameterError,
+    advance,
     backward_euler_log_amplification,
-    backward_euler_step,
+    brute_force_caputo,
     build_system,
     evaluate_derivative,
     gauss_laguerre_rule,
@@ -22,7 +24,6 @@ from diffcap import (
     make_problem,
     signed_prefactor,
     trapezoidal_amplification,
-    trapezoidal_step,
     truncate_rule,
     uniform_grid,
 )
@@ -41,15 +42,11 @@ def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
     )
 
 
-def _constant_problem(value: float, T: float = 1e6) -> DerivativeProblem:
-    return DerivativeProblem(alpha=0.5, a=0.0, T=T, d_upper=lambda t: value)
-
-
 def test_backward_euler_pure_decay_half():
     # h e^w = 1 with zero forcing halves the state
     system = _single_node_system(0.5, 0.0)
     state = SolverState(n=0, phi=np.array([1.0, 1.0]))
-    out = backward_euler_step(state, system, _constant_problem(0.0), 1.0, 1.0)
+    out = advance(state, system, BACKWARD_EULER, 1.0, 0.0, 0.0)
     assert out.phi == pytest.approx([0.5, 0.5], rel=1e-15)
     assert out.n == 1
 
@@ -57,7 +54,7 @@ def test_backward_euler_pure_decay_half():
 def test_backward_euler_extreme_stiffness_damps_to_zero():
     system = _single_node_system(0.5, 800.0)
     state = SolverState(n=0, phi=np.array([3.0, -7.0]))
-    out = backward_euler_step(state, system, _constant_problem(0.0), 1.0, 1.0)
+    out = advance(state, system, BACKWARD_EULER, 1.0, 0.0, 0.0)
     assert np.all(np.abs(out.phi) <= 1e-300)
 
 
@@ -69,12 +66,10 @@ def test_constant_forcing_matches_closed_form(method, lam_h):
     g = 1.37
     alpha = 0.5
     system = _single_node_system(alpha, w)
-    problem = _constant_problem(g)
-    step = backward_euler_step if method == BACKWARD_EULER else trapezoidal_step
     state = initial_state(system)
     n_steps = 1000
-    for n in range(n_steps):
-        state = step(state, system, problem, (n + 1) * h, h)
+    for _ in range(n_steps):
+        state = advance(state, system, method, h, g, g)
     lam = math.exp(w)
     b = system.c * math.exp(w * system.fractional_part) * g
     if method == BACKWARD_EULER:
@@ -143,22 +138,14 @@ def test_bounded_forcing_respects_maximum_principle():
         gauss_laguerre_rule(8),
     )
     bound_m = 2.5
-    forcing = {}
-
-    def d_upper(t):
-        return forcing.get(t, 0.0)
-
-    problem = DerivativeProblem(alpha=alpha, a=0.0, T=100.0, d_upper=d_upper)
     limit = np.maximum(
         0.0, bound_m * abs(system.c) * np.exp(system.exponents * (system.fractional_part - 1.0))
     )
     state = initial_state(system)
-    t = 0.0
     for _ in range(60):
         h = float(rng.uniform(0.01, 1.5))
-        t += h
-        forcing[t] = float(rng.uniform(-bound_m, bound_m))
-        state = backward_euler_step(state, system, problem, t, h)
+        g = float(rng.uniform(-bound_m, bound_m))
+        state = advance(state, system, BACKWARD_EULER, h, g, g)
         assert np.all(np.abs(state.phi) <= limit * (1.0 + 1e-12))
 
 
@@ -225,6 +212,33 @@ def test_trapezoidal_method_runs_end_to_end():
     assert values[-1] == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-3)
 
 
+def _trapezoidal_error_at_end(name: str, alpha: float, n_steps: int) -> float:
+    problem = make_problem(name, alpha)
+    grid = uniform_grid(problem.a, problem.T, n_steps)
+    values = evaluate_derivative(problem, gauss_laguerre_rule(64), grid, method=TRAPEZOIDAL)
+    exact = brute_force_caputo(problem, problem.end, 1e-12)
+    return abs(values[-1] - exact) / abs(exact)
+
+
+@pytest.mark.parametrize(
+    "name, alpha, bound",
+    [("exp", 0.9, 1e-3), ("exp", 0.97, 1e-3), ("exp", 1.95, 1e-3), ("pow2.5", 2.3, 0.1)],
+)
+def test_trapezoidal_start_leaves_no_start_up_layer(name, alpha, bound):
+    # a trapezoidal first step leaves an error of about g(a) / lambda on the
+    # stiff modes that its amplification (-> -1) never damps: 0.12 to 0.25 at
+    # T for these exp cases, and pow2.5 at alpha = 2.3 has d_upper(a) = inf
+    assert _trapezoidal_error_at_end(name, alpha, 100) < bound
+
+
+@pytest.mark.parametrize("name, alpha, n_steps", [("pow2", 0.5, 100), ("sin", 1.3, 400)])
+def test_trapezoidal_keeps_second_order_after_backward_euler_start(name, alpha, n_steps):
+    # order 2 would give 16 per fourfold refinement
+    coarse = _trapezoidal_error_at_end(name, alpha, n_steps)
+    fine = _trapezoidal_error_at_end(name, alpha, 4 * n_steps)
+    assert coarse / fine >= 12.0
+
+
 def test_truncation_reduces_state_size():
     problem = make_problem("pow2", 0.5)
     rule = gauss_laguerre_rule(10)
@@ -274,9 +288,13 @@ def test_step_rejects_nonpositive_step_size():
     system = _single_node_system(0.5, 0.0)
     state = initial_state(system)
     with pytest.raises(InvalidParameterError):
-        backward_euler_step(state, system, _constant_problem(0.0), 1.0, 0.0)
+        advance(state, system, BACKWARD_EULER, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidParameterError):
-        trapezoidal_step(state, system, _constant_problem(0.0), 1.0, -0.5)
+        advance(state, system, TRAPEZOIDAL, -0.5, 0.0, 0.0)
+    for method in METHODS:
+        for h in (math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                advance(state, system, method, h, 0.0, 0.0)
 
 
 def test_non_finite_forcing_reports_offending_time():
@@ -293,6 +311,9 @@ def test_unknown_method_rejected():
         evaluate_derivative(
             problem, gauss_laguerre_rule(3), uniform_grid(0.0, 1.0, 4), method="rk4"
         )
+    system = _single_node_system(0.5, 0.0)
+    with pytest.raises(InvalidParameterError):
+        advance(initial_state(system), system, "rk4", 1.0, 0.0, 0.0)
 
 
 def test_grid_must_match_problem_interval():
@@ -334,5 +355,4 @@ def test_forcing_is_only_evaluated_inside_the_interval(a, T, n_steps, method, gr
     problem = DerivativeProblem(alpha=0.5, a=a, T=T, d_upper=d_upper)
     grid = graded_grid(a, T, n_steps) if graded else uniform_grid(a, T, n_steps)
     evaluate_derivative(problem, gauss_laguerre_rule(4), grid, method=method)
-    assert times
-    assert all(problem.a <= t <= problem.end for t in times)
+    assert times == list(grid.points[1:])
