@@ -55,11 +55,9 @@ from .steppers import (
     BACKWARD_EULER,
     METHODS,
     TRAPEZOIDAL,
-    SolverState,
     advance,
     backward_euler_log_amplification,
     evaluate_derivative,
-    initial_state,
     iter_solution,
     trapezoidal_amplification,
 )

@@ -245,13 +245,19 @@ class RateFit:
 def fit_rate(xs: Sequence[float], errs: Sequence[float]) -> RateFit:
     """Fit a log-log rate through (xs, errs), dropping nonpositive errors.
 
-    Machine-zero errors are dropped with a warning; fewer than three
-    surviving points raise :class:`InsufficientDataError`.
+    xs must be finite and positive and errs finite, or the fit raises
+    :class:`InvalidParameterError`.  Machine-zero errors are dropped with a
+    warning; fewer than three surviving points raise
+    :class:`InsufficientDataError`.
     """
     xs = [float(x) for x in xs]
     errs = [float(e) for e in errs]
     if len(xs) != len(errs):
         raise InvalidParameterError("xs and errs must have the same length")
+    if not all(math.isfinite(x) and x > 0.0 for x in xs):
+        raise InvalidParameterError(f"xs must be finite and positive, got {xs}")
+    if not all(math.isfinite(e) for e in errs):
+        raise InvalidParameterError(f"errs must be finite, got {errs}")
     diffs = np.diff(xs)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise InvalidParameterError("xs must be strictly monotone")

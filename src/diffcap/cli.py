@@ -39,7 +39,7 @@ from .errors import (
     OracleError,
 )
 from .oracle import TOL_MAX, TOL_MIN, brute_force_caputo, corpus_function, corpus_names, make_problem
-from .quadrature import MAX_NODES, gauss_laguerre_rule, truncate_rule
+from .quadrature import MAX_NODES, QuadratureRule, gauss_laguerre_rule, truncate_rule
 from .steppers import METHODS, evaluate_derivative
 
 COMMANDS = ("derivative", "decompose", "convergence", "nodes", "stiffness")
@@ -73,10 +73,10 @@ class RunConfig:
     output: str | None = None
 
 
-#: derivative and decompose both run the scheme on one grid and take the same keys
+#: derivative runs the scheme on one grid; decompose adds the oracle's truth_tol
 _GRID_RUN_KEYS = dict(
     command=False, alpha=True, a=True, T=True, N=True, K=True, K_star=False,
-    method=False, grid=False, function=True, truth_tol=False, output=False,
+    method=False, grid=False, function=True, output=False,
 )
 
 #: the keys each command accepts, True marking the required ones
@@ -84,7 +84,7 @@ _COMMAND_KEYS = {
     "nodes": dict(command=False, K=True, K_star=False, output=False),
     "stiffness": dict(command=False, alpha=True, K=True, K_star=False, output=False),
     "derivative": _GRID_RUN_KEYS,
-    "decompose": _GRID_RUN_KEYS,
+    "decompose": dict(_GRID_RUN_KEYS, truth_tol=False),
     "convergence": dict(
         command=False, alpha=True, a=True, T=True, N=False, N_list=False, K=False,
         K_list=False, K_star=False, method=False, function=True, truth_tol=False, output=False,
@@ -308,11 +308,11 @@ def _run_decompose(config: RunConfig) -> list[str]:
     return lines
 
 
-def _max_error(config: RunConfig, n_steps: int, k: int) -> float:
+def _max_error(config: RunConfig, n_steps: int, rule: QuadratureRule) -> float:
     problem = make_problem(config.function, config.alpha, a=config.a, T=config.T)
     exact = corpus_function(config.function, config.alpha, a=config.a, T=config.T).exact_caputo
     grid = uniform_grid(config.a, config.T, n_steps)
-    values = evaluate_derivative(problem, _rule_for(config, k), grid, method=config.method)
+    values = evaluate_derivative(problem, rule, grid, method=config.method)
     _check_finite(values, "derivative values")
     if exact is not None:
         truths = np.array([exact(float(t)) for t in grid.points])
@@ -325,10 +325,11 @@ def _max_error(config: RunConfig, n_steps: int, k: int) -> float:
 def _run_convergence(config: RunConfig) -> list[str]:
     if config.n_list is not None:
         resolutions = config.n_list
-        errs = [_max_error(config, n, config.k) for n in resolutions]
+        rule = _rule_for(config, config.k)
+        errs = [_max_error(config, n, rule) for n in resolutions]
     else:
         resolutions = config.k_list
-        errs = [_max_error(config, config.n_steps, k) for k in resolutions]
+        errs = [_max_error(config, config.n_steps, _rule_for(config, k)) for k in resolutions]
     # a closed form that is infinite at t = a makes the max error infinite
     _check_finite(np.array(errs), "max errors")
     lines = ["resolution,max_err"]

@@ -18,7 +18,6 @@ product stops being moderate).  One pass over the grid, state of 2K numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -31,20 +30,6 @@ from .quadrature import truncate_rule  # noqa: F401 - perfbench/tracing.py rebin
 BACKWARD_EULER = "backward-euler"
 TRAPEZOIDAL = "trapezoidal"
 METHODS = (BACKWARD_EULER, TRAPEZOIDAL)
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """Grid index plus the 2K phi values (W_minus block, then W_plus block)."""
-
-    n: int
-    phi: np.ndarray
-
-
-def initial_state(system: DiffusiveSystem) -> SolverState:
-    phi = np.zeros(2 * system.npoints)
-    phi.setflags(write=False)
-    return SolverState(n=0, phi=phi)
 
 
 def _check_step(h: float) -> None:
@@ -102,9 +87,9 @@ def _check_method(method: str) -> None:
 
 
 def advance(
-    state: SolverState, system: DiffusiveSystem, method: str, h: float, g_prev: float, g_next: float
-) -> SolverState:
-    """One step of length h: phi <- A phi + Q c (g_next + theta g_prev).
+    phi: np.ndarray, system: DiffusiveSystem, method: str, h: float, g_prev: float, g_next: float
+) -> np.ndarray:
+    """One step of length h: the 2K values A phi + Q c (g_next + theta g_prev).
 
     ``g_prev`` and ``g_next`` are the forcing at the step's left and right
     ends; backward Euler has theta = 0 and so ignores ``g_prev``.
@@ -112,7 +97,7 @@ def advance(
     _check_method(method)
     amp, theta, gain = _COEFFICIENTS[method](system, h)
     g = g_next + theta * g_prev
-    return SolverState(n=state.n + 1, phi=state.phi * amp + (system.c * g) * gain)
+    return phi * amp + (system.c * g) * gain
 
 
 def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
@@ -132,11 +117,12 @@ def iter_solution(
     rule: QuadratureRule,
     grid: TimeGrid,
     method: str = BACKWARD_EULER,
-) -> Iterator[SolverState]:
-    """Yield the solver state at every grid index, starting from the zero state.
+) -> Iterator[np.ndarray]:
+    """Yield the 2K phi values (W_minus block, then W_plus) at every grid index.
 
-    Only one state is alive at a time, so a full sweep costs O(N K) time and
-    O(K) memory regardless of the grid length.  To run on the first K* nodes
+    The first array is the read-only zero state.  Only one array is alive at
+    a time, so a full sweep costs O(N K) time and O(K) memory regardless of
+    the grid length.  To run on the first K* nodes
     only, pass ``truncate_rule(rule, K*)``.  d_upper is called once per grid
     time after a; the first step is backward Euler whatever the method (a
     Rannacher start), so no method reads d_upper(a) or keeps a start-up error.
@@ -144,8 +130,9 @@ def iter_solution(
     _check_method(method)
     _check_grid(problem, grid)
     system = build_system(problem, rule)
-    state = initial_state(system)
-    yield state
+    phi = np.zeros(2 * system.npoints)
+    phi.setflags(write=False)
+    yield phi
     points = grid.points
     step_method, g_prev = BACKWARD_EULER, 0.0
     for n in range(1, len(points)):
@@ -153,9 +140,9 @@ def iter_solution(
         g_next = float(problem.d_upper(t_next))
         if not math.isfinite(g_next):
             raise EvaluationError(f"d_upper returned a non-finite value at t = {t_next}")
-        state = advance(state, system, step_method, t_next - float(points[n - 1]), g_prev, g_next)
+        phi = advance(phi, system, step_method, t_next - float(points[n - 1]), g_prev, g_next)
         step_method, g_prev = method, g_next
-        yield state
+        yield phi
 
 
 def quadrature_coefficients(rule: QuadratureRule) -> np.ndarray:
@@ -163,14 +150,14 @@ def quadrature_coefficients(rule: QuadratureRule) -> np.ndarray:
     return np.exp(rule.log_weights + rule.nodes)
 
 
-def state_combination(q: float, state: SolverState) -> np.ndarray:
+def state_combination(q: float, phi: np.ndarray) -> np.ndarray:
     """Per-node folded values phi(-x_k/q)/q + phi(x_k/(1-q))/(1-q).
 
     ``q`` is the fractional part of the order.  This is e^{-x_k} times the
     folded integrand at x_k; the e^{x_k} factor lives in the coefficients.
     """
-    k = len(state.phi) // 2
-    return state.phi[:k] / q + state.phi[k:] / (1.0 - q)
+    k = len(phi) // 2
+    return phi[:k] / q + phi[k:] / (1.0 - q)
 
 
 def evaluate_derivative(
@@ -188,7 +175,7 @@ def evaluate_derivative(
     coef = quadrature_coefficients(rule)
     q = problem.fractional_part
     out = np.empty(len(grid.points))
-    for state in iter_solution(problem, rule, grid, method=method):
-        out[state.n] = coef @ state_combination(q, state)
+    for n, phi in enumerate(iter_solution(problem, rule, grid, method=method)):
+        out[n] = coef @ state_combination(q, phi)
     out[0] = 0.0
     return out

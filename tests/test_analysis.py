@@ -265,6 +265,21 @@ def test_fit_rate_rejects_non_monotone_xs():
         fit_rate([1.0, 3.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "xs, errs",
+    [
+        ([0.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0]),
+        ([-8.0, -4.0, -2.0, -1.0], [1.0, 2.0, 4.0, 8.0]),
+        ([1.0, 2.0, 4.0, math.inf], [1.0, 2.0, 4.0, 8.0]),
+        ([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, math.inf, 8.0]),
+        ([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, math.nan, 8.0]),
+    ],
+)
+def test_fit_rate_rejects_inputs_it_cannot_fit(xs, errs):
+    with pytest.raises(InvalidParameterError):
+        fit_rate(xs, errs)
+
+
 def test_decay_study_errors_shrink():
     problem = make_problem("pow2", 0.5)
     study = quadrature_decay_study(problem, 1.0, [5, 10], truth_tol=1e-10)

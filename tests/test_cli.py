@@ -14,6 +14,7 @@ from diffcap.cli import (
     run,
 )
 from diffcap.errors import EvaluationError, OracleError
+from diffcap.quadrature import gauss_laguerre_rule
 
 
 def test_parse_minimal_nodes_config():
@@ -132,6 +133,26 @@ def test_run_convergence_node_sweep(capsys):
     assert [line.split(",")[0] for line in lines[1:4]] == ["2", "4", "8"]
 
 
+@pytest.mark.parametrize(
+    "sweep, calls", [("K = 8\nN_list = 8,16,32", 1), ("N = 50\nK_list = 2,4,8", 3)]
+)
+def test_convergence_builds_one_rule_per_k(monkeypatch, capsys, sweep, calls):
+    import diffcap.cli as cli
+
+    built = []
+
+    def counting_rule(k):
+        built.append(k)
+        return gauss_laguerre_rule(k)
+
+    monkeypatch.setattr(cli, "gauss_laguerre_rule", counting_rule)
+    config = parse_config(
+        "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow1\n" + sweep
+    )
+    assert run(config) == EXIT_OK
+    assert len(built) == calls
+
+
 def test_parse_k_star_requires_k():
     with pytest.raises(ConfigError, match="K_star requires"):
         parse_config(
@@ -141,6 +162,7 @@ def test_parse_k_star_requires_k():
 
 
 _DERIVATIVE = "command = derivative\nalpha = 0.5\na = 0\nT = 1\nN = 4\nK = 4\nfunction = pow2\n"
+_DECOMPOSE = _DERIVATIVE.replace("derivative", "decompose")
 _CONVERGENCE = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow1\n"
 
 
@@ -150,11 +172,12 @@ _CONVERGENCE = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow
         (_CONVERGENCE + "K = 4\nN_list = 0,4", "N_list: entries must be at least 1"),
         (_CONVERGENCE + "N = 10\nK_list = 0,4", "K_list: entries must lie in [1, 256]"),
         (_CONVERGENCE + "N = 10\nK_list = 2,300", "K_list: entries must lie in [1, 256]"),
-        (_DERIVATIVE + "truth_tol = 1e-3", "truth_tol: must lie in [1e-14, 1e-06]"),
-        (_DERIVATIVE + "truth_tol = 1e-20", "truth_tol: must lie in [1e-14, 1e-06]"),
+        (_DECOMPOSE + "truth_tol = 1e-3", "truth_tol: must lie in [1e-14, 1e-06]"),
+        (_DECOMPOSE + "truth_tol = 1e-20", "truth_tol: must lie in [1e-14, 1e-06]"),
+        (_DECOMPOSE + "truth_tol = 1e-7", "truth_tol: decompose requires truth_tol <= 1e-8"),
         (
-            _DERIVATIVE.replace("derivative", "decompose") + "truth_tol = 1e-7",
-            "truth_tol: decompose requires truth_tol <= 1e-8",
+            _DERIVATIVE + "truth_tol = 1e-9",
+            "key 'truth_tol' is not used by command 'derivative'",
         ),
         (_DERIVATIVE + "grid = graded(x)", "grid: bad grading exponent in 'graded(x)'"),
         (_DERIVATIVE + "grid = graded(-1)", "grid: grading exponent must be positive"),

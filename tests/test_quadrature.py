@@ -120,3 +120,32 @@ def test_truncation_bounds_enforced(k_star):
     rule = gauss_laguerre_rule(10)
     with pytest.raises(InvalidParameterError):
         truncate_rule(rule, k_star)
+
+
+def _mp_laguerre_pair(mpmath, n, x):
+    """(L_n(x), L_{n-1}(x)) by the three-term recurrence, in mpmath."""
+    prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+    for j in range(n):
+        prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
+    return cur, prev
+
+
+@pytest.mark.parametrize("k", [10, 30, 64, 128])
+def test_rule_matches_forty_digit_recomputation(k):
+    # each float node polished by Newton at 40 digits, then
+    # ln a_k = ln x - 2 ln((K+1) |L_{K+1}(x)|); no code from quadrature
+    mpmath = pytest.importorskip("mpmath")
+    rule = gauss_laguerre_rule(k)
+    worst_node = worst_log_weight = 0.0
+    with mpmath.workdps(40):
+        for node, log_weight in zip(rule.nodes, rule.log_weights):
+            x = mpmath.mpf(float(node))
+            for _ in range(4):  # quadratic from 1e-13: far below 40 digits
+                lk, lkm1 = _mp_laguerre_pair(mpmath, k, x)
+                x -= lk * x / (k * (lk - lkm1))
+            lk1, _ = _mp_laguerre_pair(mpmath, k + 1, x)
+            exact = mpmath.log(x) - 2 * mpmath.log((k + 1) * abs(lk1))
+            worst_node = max(worst_node, float(abs(node - x) / x))
+            worst_log_weight = max(worst_log_weight, float(abs(log_weight - exact)))
+    assert worst_node <= 2e-13
+    assert worst_log_weight <= 5e-11

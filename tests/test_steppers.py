@@ -19,7 +19,6 @@ from diffcap import (
     evaluate_derivative,
     gauss_laguerre_rule,
     graded_grid,
-    initial_state,
     iter_solution,
     make_problem,
     signed_prefactor,
@@ -27,7 +26,7 @@ from diffcap import (
     truncate_rule,
     uniform_grid,
 )
-from diffcap.steppers import SolverState, state_combination
+from diffcap.steppers import state_combination
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -45,17 +44,14 @@ def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
 def test_backward_euler_pure_decay_half():
     # h e^w = 1 with zero forcing halves the state
     system = _single_node_system(0.5, 0.0)
-    state = SolverState(n=0, phi=np.array([1.0, 1.0]))
-    out = advance(state, system, BACKWARD_EULER, 1.0, 0.0, 0.0)
-    assert out.phi == pytest.approx([0.5, 0.5], rel=1e-15)
-    assert out.n == 1
+    out = advance(np.array([1.0, 1.0]), system, BACKWARD_EULER, 1.0, 0.0, 0.0)
+    assert out == pytest.approx([0.5, 0.5], rel=1e-15)
 
 
 def test_backward_euler_extreme_stiffness_damps_to_zero():
     system = _single_node_system(0.5, 800.0)
-    state = SolverState(n=0, phi=np.array([3.0, -7.0]))
-    out = advance(state, system, BACKWARD_EULER, 1.0, 0.0, 0.0)
-    assert np.all(np.abs(out.phi) <= 1e-300)
+    out = advance(np.array([3.0, -7.0]), system, BACKWARD_EULER, 1.0, 0.0, 0.0)
+    assert np.all(np.abs(out) <= 1e-300)
 
 
 @pytest.mark.parametrize("method", [BACKWARD_EULER, TRAPEZOIDAL])
@@ -66,10 +62,10 @@ def test_constant_forcing_matches_closed_form(method, lam_h):
     g = 1.37
     alpha = 0.5
     system = _single_node_system(alpha, w)
-    state = initial_state(system)
+    phi = np.zeros(2)
     n_steps = 1000
     for _ in range(n_steps):
-        state = advance(state, system, method, h, g, g)
+        phi = advance(phi, system, method, h, g, g)
     lam = math.exp(w)
     b = system.c * math.exp(w * system.fractional_part) * g
     if method == BACKWARD_EULER:
@@ -79,8 +75,8 @@ def test_constant_forcing_matches_closed_form(method, lam_h):
         amp = (1.0 - h * lam / 2.0) / (1.0 + h * lam / 2.0)
         gain = h * b / (1.0 + h * lam / 2.0)
         expected = gain * (1.0 - amp**n_steps) / (1.0 - amp)
-    assert state.phi[0] == pytest.approx(expected, rel=1e-13)
-    assert state.phi[1] == pytest.approx(expected, rel=1e-13)
+    assert phi[0] == pytest.approx(expected, rel=1e-13)
+    assert phi[1] == pytest.approx(expected, rel=1e-13)
 
 
 def test_trapezoidal_amplification_zero_at_two():
@@ -141,12 +137,12 @@ def test_bounded_forcing_respects_maximum_principle():
     limit = np.maximum(
         0.0, bound_m * abs(system.c) * np.exp(system.exponents * (system.fractional_part - 1.0))
     )
-    state = initial_state(system)
+    phi = np.zeros(2 * system.npoints)
     for _ in range(60):
         h = float(rng.uniform(0.01, 1.5))
         g = float(rng.uniform(-bound_m, bound_m))
-        state = advance(state, system, BACKWARD_EULER, h, g, g)
-        assert np.all(np.abs(state.phi) <= limit * (1.0 + 1e-12))
+        phi = advance(phi, system, BACKWARD_EULER, h, g, g)
+        assert np.all(np.abs(phi) <= limit * (1.0 + 1e-12))
 
 
 def test_evaluate_derivative_is_linear_in_forcing():
@@ -243,7 +239,7 @@ def test_truncation_reduces_state_size():
     problem = make_problem("pow2", 0.5)
     rule = gauss_laguerre_rule(10)
     grid = uniform_grid(0.0, 1.0, 4)
-    sizes = {state.phi.shape for state in iter_solution(problem, truncate_rule(rule, 6), grid)}
+    sizes = {phi.shape for phi in iter_solution(problem, truncate_rule(rule, 6), grid)}
     assert sizes == {(12,)}
     full = evaluate_derivative(problem, rule, grid)
     cut = evaluate_derivative(problem, truncate_rule(rule, 6), grid)
@@ -254,15 +250,14 @@ def test_truncation_reduces_state_size():
 def test_state_combination_equal_phi_values():
     q = 0.3
     p = 0.7
-    state = SolverState(n=1, phi=np.array([p, p]))
     expected = p * (1.0 / q + 1.0 / (1.0 - q))
-    assert state_combination(q, state) == pytest.approx([expected], rel=1e-14)
+    assert state_combination(q, np.array([p, p])) == pytest.approx([expected], rel=1e-14)
 
 
 def test_state_combination_direct_substitution():
     # W_minus block first, then W_plus: node k pairs phi[k] with phi[K + k]
-    state = SolverState(n=1, phi=np.array([0.1, 0.3, 0.2, 0.4]))
-    assert state_combination(0.5, state) == pytest.approx([0.6, 1.4], rel=1e-13)
+    phi = np.array([0.1, 0.3, 0.2, 0.4])
+    assert state_combination(0.5, phi) == pytest.approx([0.6, 1.4], rel=1e-13)
 
 
 def test_state_is_two_k_numbers_independent_of_grid_length():
@@ -271,30 +266,31 @@ def test_state_is_two_k_numbers_independent_of_grid_length():
     for n_steps in (5, 50):
         grid = uniform_grid(0.0, 1.0, n_steps)
         count = 0
-        for state in iter_solution(problem, rule, grid):
-            assert state.phi.shape == (14,)
+        for phi in iter_solution(problem, rule, grid):
+            assert phi.shape == (14,)
             count += 1
         assert count == n_steps + 1
 
 
 def test_initial_state_is_exactly_zero():
-    system = build_system(make_problem("pow2", 0.5), gauss_laguerre_rule(6))
-    state = initial_state(system)
-    assert state.n == 0
-    assert np.all(state.phi == 0.0)
+    problem = make_problem("pow2", 0.5)
+    phi = next(iter_solution(problem, gauss_laguerre_rule(6), uniform_grid(0.0, 1.0, 4)))
+    assert phi.shape == (12,)
+    assert np.all(phi == 0.0)
+    assert not phi.flags.writeable
 
 
 def test_step_rejects_nonpositive_step_size():
     system = _single_node_system(0.5, 0.0)
-    state = initial_state(system)
+    phi = np.zeros(2)
     with pytest.raises(InvalidParameterError):
-        advance(state, system, BACKWARD_EULER, 0.0, 0.0, 0.0)
+        advance(phi, system, BACKWARD_EULER, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidParameterError):
-        advance(state, system, TRAPEZOIDAL, -0.5, 0.0, 0.0)
+        advance(phi, system, TRAPEZOIDAL, -0.5, 0.0, 0.0)
     for method in METHODS:
         for h in (math.inf, math.nan):
             with pytest.raises(InvalidParameterError):
-                advance(state, system, method, h, 0.0, 0.0)
+                advance(phi, system, method, h, 0.0, 0.0)
 
 
 def test_non_finite_forcing_reports_offending_time():
@@ -313,7 +309,7 @@ def test_unknown_method_rejected():
         )
     system = _single_node_system(0.5, 0.0)
     with pytest.raises(InvalidParameterError):
-        advance(initial_state(system), system, "rk4", 1.0, 0.0, 0.0)
+        advance(np.zeros(2), system, "rk4", 1.0, 0.0, 0.0)
 
 
 def test_grid_must_match_problem_interval():
