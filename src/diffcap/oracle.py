@@ -257,9 +257,20 @@ def _power_derivative(p: float, order: float, a: float) -> tuple[Callable[[float
         dt = t - _a
         if dt == 0.0 and _e < 0.0:
             return math.inf
-        return _c * dt**_e
+        try:  # inline rather than _scaled_power: this runs inside nested quad
+            return _c * dt**_e
+        except OverflowError:
+            return math.copysign(math.inf, _c)
 
     return deriv, coeff if expo >= 0.0 else None
+
+
+def _scaled_power(c: float, x: float, e: float) -> float:
+    """c * x**e, but +-inf where the power overflows."""
+    try:
+        return c * x**e
+    except OverflowError:
+        return math.copysign(math.inf, c)
 
 
 def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> TestFunction:
@@ -275,8 +286,10 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
         exact = None
         if p == int(p) or p > m - 1:
             exact, _ = _power_derivative(p, alpha, a)
-        sup = None if coeff_m is None else abs(coeff_m) * T ** max(p - m, 0.0)
-        sup_plus = None if coeff_m1 is None else abs(coeff_m1) * T ** max(p - m - 1, 0.0)
+        sup = None if coeff_m is None else _scaled_power(abs(coeff_m), T, max(p - m, 0.0))
+        sup_plus = (
+            None if coeff_m1 is None else _scaled_power(abs(coeff_m1), T, max(p - m - 1, 0.0))
+        )
         return TestFunction(
             name=name,
             d_upper=d_upper,
@@ -286,14 +299,21 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
             d_upper_plus_sup=sup_plus,
         )
     if name == "exp":
-        fn = lambda t, _a=a: math.exp(t - _a)  # noqa: E731
+
+        def fn(t: float, _a: float = a) -> float:
+            try:  # inline, as in _power_derivative
+                return math.exp(t - _a)
+            except OverflowError:
+                return math.inf
+
+        sup = fn(T, 0.0)  # e^T, inf where that overflows
         return TestFunction(
             name=name,
             d_upper=fn,
             d_upper_plus=fn,
             exact_caputo=None,
-            d_upper_sup=math.exp(T),
-            d_upper_plus_sup=math.exp(T),
+            d_upper_sup=sup,
+            d_upper_plus_sup=sup,
         )
     if name == "sin":
         half_pi = 0.5 * math.pi

@@ -81,6 +81,10 @@ _COEFFICIENTS = {
 }
 
 
+#: step coefficient sets one iter_solution call keeps
+_MEMO_SIZE = 32
+
+
 def _check_method(method: str) -> None:
     if method not in _COEFFICIENTS:
         raise InvalidParameterError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -95,9 +99,11 @@ def advance(
     ends; backward Euler has theta = 0 and so ignores ``g_prev``.
     """
     _check_method(method)
-    amp, theta, gain = _COEFFICIENTS[method](system, h)
-    g = g_next + theta * g_prev
-    return phi * amp + (system.c * g) * gain
+    return _update(phi, system.c, g_prev, g_next, *_COEFFICIENTS[method](system, h))
+
+
+def _update(phi, c, g_prev, g_next, amp, theta, gain):
+    return phi * amp + (c * (g_next + theta * g_prev)) * gain
 
 
 def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
@@ -133,15 +139,27 @@ def iter_solution(
     phi = np.zeros(2 * system.npoints)
     phi.setflags(write=False)
     yield phi
-    points = grid.points
-    step_method, g_prev = BACKWARD_EULER, 0.0
-    for n in range(1, len(points)):
-        t_next = float(points[n])
-        g_next = float(problem.d_upper(t_next))
+    # (method, exact h) -> (A, theta, Q): a uniform grid has a handful of
+    # distinct rounded step lengths, a graded one a new h at every step, so
+    # the memo stops growing at a fixed size and the state stays O(K)
+    memo = {}
+    step_method, g_prev, t_prev = BACKWARD_EULER, 0.0, float(grid.points[0])
+    for t in grid.points[1:]:
+        t_next = float(t)
+        try:
+            g_next = float(problem.d_upper(t_next))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvaluationError(f"d_upper failed at t = {t_next}: {exc}") from exc
         if not math.isfinite(g_next):
             raise EvaluationError(f"d_upper returned a non-finite value at t = {t_next}")
-        phi = advance(phi, system, step_method, t_next - float(points[n - 1]), g_prev, g_next)
-        step_method, g_prev = method, g_next
+        h = t_next - t_prev
+        coefficients = memo.get((step_method, h))
+        if coefficients is None:
+            coefficients = _COEFFICIENTS[step_method](system, h)
+            if len(memo) < _MEMO_SIZE:
+                memo[step_method, h] = coefficients
+        phi = _update(phi, system.c, g_prev, g_next, *coefficients)
+        step_method, g_prev, t_prev = method, g_next, t_next
         yield phi
 
 
@@ -174,8 +192,10 @@ def evaluate_derivative(
     """
     coef = quadrature_coefficients(rule)
     q = problem.fractional_part
+    # state_combination's per-node fold, taken into the weights: one dot per point
+    weights = np.concatenate((coef / q, coef / (1.0 - q)))
     out = np.empty(len(grid.points))
     for n, phi in enumerate(iter_solution(problem, rule, grid, method=method)):
-        out[n] = coef @ state_combination(q, phi)
+        out[n] = weights.dot(phi)
     out[0] = 0.0
     return out

@@ -245,6 +245,22 @@ def test_run_derivative_exact_column_is_infinite_at_a(capsys):
     assert all(math.isfinite(float(field)) for line in lines[2:] for field in line.split(","))
 
 
+def test_run_derivative_with_overflowing_forcing_is_numerical_failure(capsys):
+    argv = ["derivative", "alpha=0.5", "a=0", "T=800", "N=40", "K=16", "function=exp"]
+    assert main(argv) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_run_derivative_exact_column_is_infinite_where_the_closed_form_overflows(capsys):
+    # 1.5 t^1.5 exceeds the largest double at t = 1e250; the scheme's values,
+    # whose error grows with the interval length, stay finite there
+    argv = ["derivative", "alpha=0.5", "a=0", "T=1e250", "N=4", "K=16", "function=pow2"]
+    assert main(argv) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[-1][3:] == ["inf", "inf"]
+    assert all(math.isfinite(float(row[2])) for row in rows)
+
+
 def test_run_trapezoidal_derivative_never_evaluates_before_a(capsys):
     # t_1 - h rounds below a here, where the upper derivative (t - a)^0.5 of pow2.5 is complex
     argv = ["derivative", "alpha=0.5", "a=0.028", "T=1.18", "N=5", "K=8", "function=pow2.5",

@@ -210,6 +210,16 @@ def test_low_regularity_power_has_singular_next_derivative():
     assert fn.d_upper_plus_sup is None
 
 
+def test_closed_forms_overflow_to_infinity():
+    assert make_problem("exp", 0.5, 0.0, 800.0).d_upper(800.0) == math.inf
+    fn = corpus_function("exp", 0.5, T=800.0)
+    assert fn.d_upper_sup == fn.d_upper_plus_sup == math.inf
+    assert corpus_function("pow2", 0.5, a=1e300, T=1e300).exact_caputo(2e300) == math.inf
+    assert corpus_function("pow3", 0.5, T=1e300).d_upper_sup == math.inf
+    # the fourth derivative of (t - a)^2.5 is negative and overflows next to a
+    assert corpus_function("pow2.5", 2.3).d_upper_plus(1e-300) == -math.inf
+
+
 def test_unknown_corpus_name_rejected():
     with pytest.raises(InvalidParameterError):
         corpus_function("pow7", 0.5)

@@ -1,4 +1,7 @@
+import collections
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from diffcap import (
     truncate_rule,
     uniform_grid,
 )
-from diffcap.steppers import state_combination
+from diffcap.steppers import quadrature_coefficients, state_combination
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -301,6 +304,20 @@ def test_non_finite_forcing_reports_offending_time():
         evaluate_derivative(problem, gauss_laguerre_rule(3), uniform_grid(0.0, 1.0, 4))
 
 
+@pytest.mark.parametrize(
+    "d_upper, T, bad_t, cause",
+    [
+        (lambda t: math.exp(t), 800.0, 800.0, OverflowError),
+        (lambda t: 1.0 / (t - 0.5), 1.0, 0.5, ZeroDivisionError),
+    ],
+)
+def test_forcing_arithmetic_errors_report_offending_time(d_upper, T, bad_t, cause):
+    problem = DerivativeProblem(alpha=0.5, a=0.0, T=T, d_upper=d_upper)
+    with pytest.raises(EvaluationError, match=re.escape(f"t = {bad_t}")) as info:
+        evaluate_derivative(problem, gauss_laguerre_rule(3), uniform_grid(0.0, T, 4))
+    assert isinstance(info.value.__cause__, cause)
+
+
 def test_unknown_method_rejected():
     problem = make_problem("pow1", 0.5)
     with pytest.raises(InvalidParameterError):
@@ -352,3 +369,59 @@ def test_forcing_is_only_evaluated_inside_the_interval(a, T, n_steps, method, gr
     grid = graded_grid(a, T, n_steps) if graded else uniform_grid(a, T, n_steps)
     evaluate_derivative(problem, gauss_laguerre_rule(4), grid, method=method)
     assert times == list(grid.points[1:])
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "a, n_steps, graded", [(0.0, 40, False), (0.0, 40, True), (1e6, 1000, False)]
+)
+def test_reused_step_coefficients_never_change_a_step(method, a, n_steps, graded):
+    # far from zero the uniform steps differ in their last bits; coefficients
+    # shared between steps of nearly equal length would drift from this loop
+    problem = make_problem("sin", 0.9, a=a, T=1.0)
+    rule = gauss_laguerre_rule(12)
+    grid = graded_grid(a, 1.0, n_steps, 2.0) if graded else uniform_grid(a, 1.0, n_steps)
+    system = build_system(problem, rule)
+    phi = np.zeros(2 * system.npoints)
+    expected = [phi]
+    step_method, g_prev = BACKWARD_EULER, 0.0
+    for t_prev, t_next in zip(grid.points[:-1], grid.points[1:]):
+        g_next = problem.d_upper(float(t_next))
+        phi = advance(phi, system, step_method, float(t_next) - float(t_prev), g_prev, g_next)
+        expected.append(phi)
+        step_method, g_prev = method, g_next
+    got = list(iter_solution(problem, rule, grid, method=method))
+    assert len(got) == len(expected)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("graded", [False, True])
+def test_stepping_heap_is_linear_in_k_and_independent_of_n(method, graded):
+    k = 64
+    bound = 96 * (2 * k * 8) + 32 * 1024  # 96 arrays of 2K doubles, plus fixed overhead
+    problem = make_problem("pow2", 0.5)
+    rule = gauss_laguerre_rule(k)
+    for n_steps in (2_000, 20_000):
+        grid = graded_grid(0.0, 1.0, n_steps, 2.0) if graded else uniform_grid(0.0, 1.0, n_steps)
+        tracemalloc.start()
+        try:
+            collections.deque(iter_solution(problem, rule, grid, method=method), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n_steps, peak)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_evaluate_derivative_matches_the_state_combination_fold(method):
+    problem = make_problem("exp", 1.5, a=-3.7, T=2.3)
+    rule = gauss_laguerre_rule(64)
+    grid = graded_grid(-3.7, 2.3, 17, 2.0)
+    values = evaluate_derivative(problem, rule, grid, method=method)
+    coef = quadrature_coefficients(rule)
+    q = problem.fractional_part
+    phis = iter_solution(problem, rule, grid, method=method)
+    folded = [coef @ state_combination(q, phi) for phi in phis]
+    folded[0] = 0.0
+    assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(values))
