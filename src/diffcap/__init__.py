@@ -59,7 +59,6 @@ from .steppers import (
     backward_euler_log_amplification,
     evaluate_derivative,
     iter_solution,
-    trapezoidal_amplification,
 )
 
 __version__ = "0.1.0"

@@ -209,6 +209,8 @@ def parse_config(text: str) -> RunConfig:
                 config.grid_exponent = float(match.group(1))
             except ValueError:
                 raise ConfigError(f"grid: bad grading exponent in {value!r}") from None
+            if not math.isfinite(config.grid_exponent):
+                raise ConfigError(f"grid: grading exponent must be finite, got {value!r}")
             if config.grid_exponent <= 0.0:
                 raise ConfigError("grid: grading exponent must be positive")
             config.grid_kind = "graded"
@@ -363,7 +365,9 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        lines = _RUNNERS[config.command](config)
+        # overflow shows up as a non-finite value, which every runner reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            lines = _RUNNERS[config.command](config)
     except (EvaluationError,) as exc:
         print(f"diffcap: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -377,7 +381,11 @@ def run(config: RunConfig) -> int:
     if config.output is None:
         sys.stdout.write(text)
     else:
-        Path(config.output).write_text(text, encoding="utf-8")
+        try:
+            Path(config.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"diffcap: config error: cannot write {config.output!r}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     return EXIT_OK
 
 

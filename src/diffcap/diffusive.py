@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -76,6 +75,10 @@ class DerivativeProblem:
             raise InvalidParameterError(f"left endpoint must be finite, got {self.a}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise InvalidParameterError(f"interval length must be positive, got {self.T}")
+        if not math.isfinite(self.a + self.T):
+            raise InvalidParameterError(
+                f"interval end a + T overflows, got a = {self.a}, T = {self.T}"
+            )
 
     @property
     def ceil_order(self) -> int:
@@ -96,36 +99,27 @@ class DerivativeProblem:
 
 @dataclass(frozen=True)
 class DiffusiveSystem:
-    """Transformed node sets and coefficients for one (problem, rule) pair.
+    """Transformed nodes and coefficients for one (problem, rule) pair.
 
-    ``exponents`` concatenates W_minus and W_plus in that order; this is the
-    layout solver states use.
+    ``exponents`` holds the 2K node exponents w, the W_minus block followed by
+    the W_plus block; this is the layout solver states use.
     """
 
     fractional_part: float
     c: float
-    w_minus: np.ndarray
-    w_plus: np.ndarray
+    exponents: np.ndarray
 
     @property
     def npoints(self) -> int:
-        return len(self.w_plus)
-
-    @cached_property
-    def exponents(self) -> np.ndarray:
-        w = np.concatenate([self.w_minus, self.w_plus])
-        w.setflags(write=False)
-        return w
+        return len(self.exponents) // 2
 
 
 def build_system(problem: DerivativeProblem, rule: QuadratureRule) -> DiffusiveSystem:
     """Assemble the diffusive system for ``problem`` at the nodes of ``rule``."""
     q = problem.fractional_part
-    w_minus = -rule.nodes / q
-    w_plus = rule.nodes / (1.0 - q)
-    w_minus.setflags(write=False)
-    w_plus.setflags(write=False)
-    return DiffusiveSystem(fractional_part=q, c=problem.prefactor, w_minus=w_minus, w_plus=w_plus)
+    w = np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q)))
+    w.setflags(write=False)
+    return DiffusiveSystem(fractional_part=q, c=problem.prefactor, exponents=w)
 
 
 @dataclass(frozen=True)
@@ -144,10 +138,9 @@ def stiffness_report(system: DiffusiveSystem) -> tuple[StiffnessRow, ...]:
     """
     log10e = 1.0 / math.log(10.0)
     rows = []
-    for block in (system.w_minus, system.w_plus):
-        for k, w in enumerate(block, start=1):
-            w = float(w)
-            rows.append(StiffnessRow(k=k, w=w, log10_lipschitz=w * log10e))
+    for i, w in enumerate(system.exponents):
+        w = float(w)
+        rows.append(StiffnessRow(k=i % system.npoints + 1, w=w, log10_lipschitz=w * log10e))
     return tuple(rows)
 
 

@@ -47,38 +47,21 @@ def backward_euler_log_amplification(w, h: float):
     return -np.logaddexp(0.0, np.asarray(w, dtype=float) + math.log(h))
 
 
-def trapezoidal_amplification(w, h: float):
-    """Trapezoidal amplification (1 - h e^w / 2) / (1 + h e^w / 2) = -tanh(u/2).
+def _coefficients(system: DiffusiveSystem, method: str, h: float):
+    """(A, theta, Q) of one step of length h, from B = 1 / (1 + s e^w).
 
-    Bounded in (-1, 1] with the A-stability limit -1 as h e^w grows.
+    Backward Euler has s = h, A = B, theta = 0; the trapezoidal rule has
+    s = h/2, A = 2B - 1 = (1 - s e^w) / (1 + s e^w), theta = 1.  Both have
+    Q = s e^{w q} B.
     """
     _check_step(h)
-    u = np.asarray(w, dtype=float) + math.log(0.5 * h)
-    return -np.tanh(0.5 * u)
-
-
-def _gain(system: DiffusiveSystem, h_eff: float, log_decay) -> np.ndarray:
-    return np.exp(math.log(h_eff) + system.fractional_part * system.exponents + log_decay)
-
-
-def _backward_euler_coefficients(system: DiffusiveSystem, h: float):
-    """A = 1 / (1 + h e^w), theta = 0, Q = h e^{w q} A."""
-    log_amp = backward_euler_log_amplification(system.exponents, h)
-    return np.exp(log_amp), 0.0, _gain(system, h, log_amp)
-
-
-def _trapezoidal_coefficients(system: DiffusiveSystem, h: float):
-    """A = -tanh(ln(h e^w / 2) / 2), theta = 1, Q = (h/2) e^{w q} / (1 + h e^w / 2)."""
-    amp = trapezoidal_amplification(system.exponents, h)
-    log_decay = backward_euler_log_amplification(system.exponents, 0.5 * h)
-    return amp, 1.0, _gain(system, 0.5 * h, log_decay)
-
-
-#: method -> (system, h) -> (A, theta, Q)
-_COEFFICIENTS = {
-    BACKWARD_EULER: _backward_euler_coefficients,
-    TRAPEZOIDAL: _trapezoidal_coefficients,
-}
+    s = h if method == BACKWARD_EULER else 0.5 * h
+    log_b = backward_euler_log_amplification(system.exponents, s)
+    gain = np.exp(math.log(s) + system.fractional_part * system.exponents + log_b)
+    b = np.exp(log_b)
+    if method == BACKWARD_EULER:
+        return b, 0.0, gain
+    return 2.0 * b - 1.0, 1.0, gain
 
 
 #: step coefficient sets one iter_solution call keeps
@@ -86,7 +69,7 @@ _MEMO_SIZE = 32
 
 
 def _check_method(method: str) -> None:
-    if method not in _COEFFICIENTS:
+    if method not in METHODS:
         raise InvalidParameterError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
@@ -99,7 +82,7 @@ def advance(
     ends; backward Euler has theta = 0 and so ignores ``g_prev``.
     """
     _check_method(method)
-    return _update(phi, system.c, g_prev, g_next, *_COEFFICIENTS[method](system, h))
+    return _update(phi, system.c, g_prev, g_next, *_coefficients(system, method, h))
 
 
 def _update(phi, c, g_prev, g_next, amp, theta, gain):
@@ -155,7 +138,7 @@ def iter_solution(
         h = t_next - t_prev
         coefficients = memo.get((step_method, h))
         if coefficients is None:
-            coefficients = _COEFFICIENTS[step_method](system, h)
+            coefficients = _coefficients(system, step_method, h)
             if len(memo) < _MEMO_SIZE:
                 memo[step_method, h] = coefficients
         phi = _update(phi, system.c, g_prev, g_next, *coefficients)

@@ -94,7 +94,7 @@ def test_criterion_02_stepper_exactness_on_constant_forcing():
     for lam_h in (1e-3, 1.0, 1e3):
         w = math.log(lam_h / h)
         system = DiffusiveSystem(
-            fractional_part=0.5, c=signed_prefactor(0.5), w_minus=np.array([w]), w_plus=np.array([w])
+            fractional_part=0.5, c=signed_prefactor(0.5), exponents=np.array([w, w])
         )
         lam = math.exp(w)
         b = system.c * math.exp(w * system.fractional_part) * g

@@ -182,6 +182,18 @@ _CONVERGENCE = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow
         (_DERIVATIVE + "grid = graded(x)", "grid: bad grading exponent in 'graded(x)'"),
         (_DERIVATIVE + "grid = graded(-1)", "grid: grading exponent must be positive"),
         (_DERIVATIVE + "grid = graded(0)", "grid: grading exponent must be positive"),
+        (
+            _DERIVATIVE + "grid = graded(nan)",
+            "grid: grading exponent must be finite, got 'graded(nan)'",
+        ),
+        (
+            _DERIVATIVE + "grid = graded(inf)",
+            "grid: grading exponent must be finite, got 'graded(inf)'",
+        ),
+        (
+            _DERIVATIVE + "grid = graded(1e400)",
+            "grid: grading exponent must be finite, got 'graded(1e400)'",
+        ),
         ("command = nodes\nK =\n", "line 2: empty value for 'K'"),
         (_CONVERGENCE + "N = 50\nK_list = 2,4\nK_star = 2", "K_star requires an explicit K"),
     ],
@@ -249,6 +261,26 @@ def test_run_derivative_with_overflowing_forcing_is_numerical_failure(capsys):
     argv = ["derivative", "alpha=0.5", "a=0", "T=800", "N=40", "K=16", "function=exp"]
     assert main(argv) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "a, T, code, prefix",
+    [
+        # the scheme's values overflow past the largest double
+        ("1e300", "1e300", EXIT_NUMERICAL, "diffcap: numerical failure:"),
+        # the interval end a + T itself overflows
+        ("1e308", "1e308", EXIT_CONFIG, "diffcap: config error: interval end a + T overflows"),
+    ],
+)
+def test_run_derivative_overflow_prints_one_line_and_no_numpy_warning(a, T, code, prefix, capsys):
+    argv = ["derivative", "function=pow2", "alpha=0.5", f"a={a}", f"T={T}", "N=4", "K=16"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
 
 
 def test_run_derivative_exact_column_is_infinite_where_the_closed_form_overflows(capsys):
@@ -366,6 +398,16 @@ def test_main_missing_file_is_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("diffcap: config error:")
     assert err.count("\n") == 1
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.csv"
+    assert main(["nodes", "K=2", f"output={target}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"diffcap: config error: cannot write {str(target)!r}")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_main_reports_parse_errors_on_stderr(tmp_path, capsys):

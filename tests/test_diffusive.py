@@ -59,22 +59,20 @@ def _problem(alpha):
 
 def test_build_system_single_node_half_order():
     system = build_system(_problem(0.5), gauss_laguerre_rule(1))
-    assert system.w_minus == pytest.approx([-2.0], abs=1e-12)
-    assert system.w_plus == pytest.approx([2.0], abs=1e-12)
+    assert system.exponents == pytest.approx([-2.0, 2.0], abs=1e-12)
     assert system.c == pytest.approx(1.0 / math.pi, rel=1e-14)
 
 
 def test_build_system_single_node_order_three_halves():
     system = build_system(_problem(1.5), gauss_laguerre_rule(1))
-    assert system.w_minus == pytest.approx([-2.0], abs=1e-12)
-    assert system.w_plus == pytest.approx([2.0], abs=1e-12)
+    assert system.exponents == pytest.approx([-2.0, 2.0], abs=1e-12)
     assert system.c == pytest.approx(1.0 / math.pi, rel=1e-14)
 
 
 def test_build_system_two_nodes():
     system = build_system(_problem(0.5), gauss_laguerre_rule(2))
     expected = [2.0 * (2.0 - math.sqrt(2.0)), 2.0 * (2.0 + math.sqrt(2.0))]
-    assert system.w_plus == pytest.approx(expected, rel=1e-14)
+    assert system.exponents[2:] == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1.3, 2.7])
@@ -83,11 +81,12 @@ def test_node_sets_scale_exactly(alpha, k):
     rule = gauss_laguerre_rule(k)
     system = build_system(_problem(alpha), rule)
     q = system.fractional_part
-    assert np.allclose(system.w_plus * (1.0 - q), rule.nodes, rtol=1e-14)
-    assert np.allclose(-system.w_minus * q, rule.nodes, rtol=1e-14)
-    assert np.all(system.w_minus < 0.0)
-    assert np.all(system.w_plus > 0.0)
-    assert len(system.w_minus) == len(system.w_plus) == k
+    w_minus, w_plus = system.exponents[:k], system.exponents[k:]
+    assert np.allclose(w_plus * (1.0 - q), rule.nodes, rtol=1e-14)
+    assert np.allclose(-w_minus * q, rule.nodes, rtol=1e-14)
+    assert np.all(w_minus < 0.0)
+    assert np.all(w_plus > 0.0)
+    assert len(w_minus) == len(w_plus) == system.npoints == k
 
 
 def test_stiffness_single_node():
@@ -121,6 +120,9 @@ def test_problem_validation():
         DerivativeProblem(alpha=0.5, a=0.0, T=0.0, d_upper=lambda t: 0.0)
     with pytest.raises(InvalidParameterError):
         DerivativeProblem(alpha=0.5, a=math.nan, T=1.0, d_upper=lambda t: 0.0)
+    # a and T are finite, but a + T overflows
+    with pytest.raises(InvalidParameterError, match="a \\+ T"):
+        DerivativeProblem(alpha=0.5, a=1e308, T=1e308, d_upper=lambda t: 0.0)
 
 
 def test_uniform_grid_construction():

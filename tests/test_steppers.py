@@ -25,7 +25,6 @@ from diffcap import (
     iter_solution,
     make_problem,
     signed_prefactor,
-    trapezoidal_amplification,
     truncate_rule,
     uniform_grid,
 )
@@ -39,8 +38,7 @@ def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
     return DiffusiveSystem(
         fractional_part=fractional_part(alpha),
         c=signed_prefactor(alpha),
-        w_minus=np.array([w]),
-        w_plus=np.array([w]),
+        exponents=np.array([w, w]),
     )
 
 
@@ -82,13 +80,20 @@ def test_constant_forcing_matches_closed_form(method, lam_h):
     assert phi[1] == pytest.approx(expected, rel=1e-13)
 
 
+def _trapezoidal_amplification(w: float, h: float) -> float:
+    # one trapezoidal step of phi = 1 with zero forcing leaves A phi = A
+    out = advance(np.array([1.0, 1.0]), _single_node_system(0.5, w), TRAPEZOIDAL, h, 0.0, 0.0)
+    assert out[0] == out[1]
+    return float(out[0])
+
+
 def test_trapezoidal_amplification_zero_at_two():
-    assert trapezoidal_amplification(math.log(2.0), 1.0) == 0.0
+    assert _trapezoidal_amplification(math.log(2.0), 1.0) == 0.0
 
 
 def test_trapezoidal_amplification_tends_to_minus_one():
-    assert trapezoidal_amplification(800.0, 1.0) == -1.0
-    assert abs(trapezoidal_amplification(25.0, 1.0)) < 1.0
+    assert _trapezoidal_amplification(800.0, 1.0) == -1.0
+    assert abs(_trapezoidal_amplification(25.0, 1.0)) < 1.0
 
 
 @given(
@@ -120,13 +125,9 @@ def test_log_amplification_matches_mpmath():
 def test_amplification_rejects_nonpositive_step():
     with pytest.raises(InvalidParameterError):
         backward_euler_log_amplification(1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        trapezoidal_amplification(1.0, -1.0)
     for h in (math.inf, math.nan):
         with pytest.raises(InvalidParameterError):
             backward_euler_log_amplification(1.0, h)
-        with pytest.raises(InvalidParameterError):
-            trapezoidal_amplification(1.0, h)
 
 
 def test_bounded_forcing_respects_maximum_principle():
@@ -288,7 +289,8 @@ def test_step_rejects_nonpositive_step_size():
     phi = np.zeros(2)
     with pytest.raises(InvalidParameterError):
         advance(phi, system, BACKWARD_EULER, 0.0, 0.0, 0.0)
-    with pytest.raises(InvalidParameterError):
+    # the message names the caller's h, not the half step the rule uses
+    with pytest.raises(InvalidParameterError, match=r"got -0\.5$"):
         advance(phi, system, TRAPEZOIDAL, -0.5, 0.0, 0.0)
     for method in METHODS:
         for h in (math.inf, math.nan):
