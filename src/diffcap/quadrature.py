@@ -24,6 +24,9 @@ MAX_NODES = 256
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX_ITER = 100
 
+# (2j + 1, j, j + 1) as floats for every recurrence step up to degree K + 1
+_RECURRENCE = tuple((2.0 * j + 1.0, float(j), j + 1.0) for j in range(MAX_NODES + 1))
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -54,8 +57,8 @@ def _scaled_laguerre(n: int, x: float) -> tuple[float, float]:
     """
     prev = 0.0
     cur = math.exp(-0.5 * x)
-    for j in range(n):
-        prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
+    for odd, j, j_next in _RECURRENCE[:n]:
+        prev, cur = cur, ((odd - x) * cur - j * prev) / j_next
     return cur, prev
 
 

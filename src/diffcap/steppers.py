@@ -7,8 +7,8 @@ Each transformed node w carries the scalar linear ODE
 with g the caller-supplied upper derivative.  The equations are linear with
 constant coefficients, so the implicit backward-Euler and trapezoidal updates
 are solved exactly by division: both are phi_n = A phi_{n-1} + Q c (g_n +
-theta g_{n-1}), theta = 0 or 1.  All coefficients are evaluated through
-log-space expressions because the W_plus exponents reach several hundreds.
+theta g_{n-1}), theta = 0 or 1.  |w| reaches several hundreds or more, so
+the coefficients take a form in which an overflowed exponential gives no nan.
 
 The derivative itself is the weighted sum over nodes, assembled from
 ln a_k + x_k (the weights underflow and e^{x_k} overflows long before their
@@ -18,6 +18,8 @@ product stops being moderate).  One pass over the grid, state of 2K numbers.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import sub
 from typing import Iterator
 
 import numpy as np
@@ -32,8 +34,9 @@ TRAPEZOIDAL = "trapezoidal"
 METHODS = (BACKWARD_EULER, TRAPEZOIDAL)
 
 
-def _check_step(h: float) -> None:
-    if not (math.isfinite(h) and h > 0.0):
+def _check_step(h: float, parts: float = 1.0) -> None:
+    # parts = 2: the half step must not round to 0 either
+    if not (math.isfinite(h) and h / parts > 0.0):
         raise InvalidParameterError(f"step size must be positive, got {h}")
 
 
@@ -47,25 +50,41 @@ def backward_euler_log_amplification(w, h: float):
     return -np.logaddexp(0.0, np.asarray(w, dtype=float) + math.log(h))
 
 
-def _coefficients(system: DiffusiveSystem, method: str, h: float):
-    """(A, theta, Q) of one step of length h, from B = 1 / (1 + s e^w).
+def _exponentials(system: DiffusiveSystem):
+    """e^{-w}, e^{-qw} and e^{(1-q)w} of every mode; each may be inf."""
+    w, q = system.exponents, system.fractional_part
+    with np.errstate(over="ignore"):
+        return np.exp(-w), np.exp(-q * w), np.exp((1.0 - q) * w)
+
+
+def _coefficients(exponentials, method: str, steps):
+    """(A, theta, Q) of each step of the given lengths, from B = 1 / (1 + s e^w).
 
     Backward Euler has s = h, A = B, theta = 0; the trapezoidal rule has
-    s = h/2, A = 2B - 1 = (1 - s e^w) / (1 + s e^w), theta = 1.  Both have
-    Q = s e^{w q} B.
+    s = h/2, A = 2B - 1, theta = 1.  Both have Q = s e^{wq} B, formed as
+    s / (e^{-qw} + s e^{(1-q)w}).  With u = e^{-w}, 1 - B = s / (s + u); A is
+    1 - (1 + theta)(1 - B), one rounding near 1 where slow modes compound it,
+    but a backward-Euler A below 1/2 is u / (s + u), accurate where tiny.  As
+    s > 0 is finite, no overflowed or underflowed exponential gives nan.
     """
-    _check_step(h)
-    s = h if method == BACKWARD_EULER else 0.5 * h
-    log_b = backward_euler_log_amplification(system.exponents, s)
-    gain = np.exp(math.log(s) + system.fractional_part * system.exponents + log_b)
-    b = np.exp(log_b)
-    if method == BACKWARD_EULER:
-        return b, 0.0, gain
-    return 2.0 * b - 1.0, 1.0, gain
+    theta = 0.0 if method == BACKWARD_EULER else 1.0
+    for h in steps:
+        _check_step(h, 1.0 + theta)
+    s = np.array(steps, dtype=float)[:, None] / (1.0 + theta)
+    u, e_minus_qw, e_rest = exponentials
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = s + u
+        slow = s / total  # 1 - B
+        if method == BACKWARD_EULER:
+            amp = np.where(slow < 0.5, 1.0 - slow, u / total)
+        else:
+            amp = 1.0 - 2.0 * slow
+        gain = s / (e_minus_qw + s * e_rest)
+    return list(zip(amp, repeat(theta), gain))
 
 
-#: step coefficient sets one iter_solution call keeps
-_MEMO_SIZE = 32
+#: most step lengths whose coefficients iter_solution forms in one call, or keeps
+_CHUNK = 16
 
 
 def _check_method(method: str) -> None:
@@ -82,7 +101,8 @@ def advance(
     ends; backward Euler has theta = 0 and so ignores ``g_prev``.
     """
     _check_method(method)
-    return _update(phi, system.c, g_prev, g_next, *_coefficients(system, method, h))
+    [coefficients] = _coefficients(_exponentials(system), method, [h])
+    return _update(phi, system.c, g_prev, g_next, *coefficients)
 
 
 def _update(phi, c, g_prev, g_next, amp, theta, gain):
@@ -122,28 +142,42 @@ def iter_solution(
     phi = np.zeros(2 * system.npoints)
     phi.setflags(write=False)
     yield phi
-    # (method, exact h) -> (A, theta, Q): a uniform grid has a handful of
-    # distinct rounded step lengths, a graded one a new h at every step, so
-    # the memo stops growing at a fixed size and the state stays O(K)
-    memo = {}
-    step_method, g_prev, t_prev = BACKWARD_EULER, 0.0, float(grid.points[0])
-    for t in grid.points[1:]:
-        t_next = float(t)
-        try:
-            g_next = float(problem.d_upper(t_next))
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvaluationError(f"d_upper failed at t = {t_next}: {exc}") from exc
-        if not math.isfinite(g_next):
-            raise EvaluationError(f"d_upper returned a non-finite value at t = {t_next}")
-        h = t_next - t_prev
-        coefficients = memo.get((step_method, h))
-        if coefficients is None:
-            coefficients = _coefficients(system, step_method, h)
-            if len(memo) < _MEMO_SIZE:
-                memo[step_method, h] = coefficients
-        phi = _update(phi, system.c, g_prev, g_next, *coefficients)
-        step_method, g_prev, t_prev = method, g_next, t_next
-        yield phi
+    # exact h -> (A, theta, Q), formed a chunk of steps per call: a uniform
+    # grid has a handful of distinct rounded h, a graded one a new h at every
+    # step; at most _CHUNK sets are kept, so the state stays O(K).  The first
+    # step goes alone (it is backward Euler whatever the method); a chunk
+    # that formed nothing lets the next one span 16 chunks, as long as it
+    # holds at most _CHUNK distinct h
+    exponentials, points, c = _exponentials(system), grid.points, system.c
+    rows, step_method, g_prev, lo, span, last = {}, BACKWARD_EULER, 0.0, 0, 1, len(points) - 1
+    while lo < last:
+        hi = min(lo + span, last)
+        times = points[lo : hi + 1].tolist()
+        steps = list(map(sub, times[1:], times))
+        distinct = set(steps)
+        if len(distinct) > _CHUNK:
+            span = _CHUNK
+            continue
+        new = list(distinct.difference(rows))
+        if len(rows) + len(new) > _CHUNK:
+            rows.clear()
+            new = list(distinct)
+        if new:
+            rows.update(zip(new, _coefficients(exponentials, step_method, new)))
+        for t_next, h in zip(times[1:], steps):
+            try:
+                g_next = float(problem.d_upper(t_next))
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise EvaluationError(f"d_upper failed at t = {t_next}: {exc}") from exc
+            if not math.isfinite(g_next):
+                raise EvaluationError(f"d_upper returned a non-finite value at t = {t_next}")
+            phi = _update(phi, c, g_prev, g_next, *rows[h])
+            g_prev = g_next
+            yield phi
+        if lo == 0:
+            rows, step_method = {}, method
+        span = _CHUNK if new else 16 * _CHUNK
+        lo = hi
 
 
 def quadrature_coefficients(rule: QuadratureRule) -> np.ndarray:

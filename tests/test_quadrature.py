@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffcap import InvalidParameterError, gauss_laguerre_rule, truncate_rule
-from diffcap.quadrature import MAX_NODES
+from diffcap.quadrature import MAX_NODES, _scaled_laguerre
 
 
 def _two_point_oracle():
@@ -82,6 +82,26 @@ def test_rules_are_deterministic():
     b = gauss_laguerre_rule(48)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.log_weights, b.log_weights)
+
+
+def _integer_index_laguerre(n, x):
+    # the recurrence as first written, with int indices converted at every pass
+    prev = 0.0
+    cur = math.exp(-0.5 * x)
+    for j in range(n):
+        prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
+    return cur, prev
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 256, 257])
+def test_scaled_laguerre_is_bit_identical_to_integer_index_loop(n):
+    # gauss_laguerre_rule's bit-identical nodes and weights rest on this; the
+    # weights evaluate degree K + 1, hence n = 257
+    k = min(n, MAX_NODES)
+    xs = np.concatenate((gauss_laguerre_rule(k).nodes, np.geomspace(1e-3, 4.0 * k + 2.0, 64)))
+    for x in xs.tolist():
+        got, expected = _scaled_laguerre(n, x), _integer_index_laguerre(n, x)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], x
 
 
 def test_rule_arrays_are_read_only():

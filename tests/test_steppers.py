@@ -2,6 +2,7 @@ import collections
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from diffcap import (
     DiffusiveSystem,
     EvaluationError,
     InvalidParameterError,
+    TimeGrid,
     advance,
     backward_euler_log_amplification,
     brute_force_caputo,
@@ -28,7 +30,7 @@ from diffcap import (
     truncate_rule,
     uniform_grid,
 )
-from diffcap.steppers import quadrature_coefficients, state_combination
+from diffcap.steppers import _CHUNK, quadrature_coefficients, state_combination
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -120,6 +122,50 @@ def test_log_amplification_matches_mpmath():
                 exact = -mpmath.log1p(mpmath.mpf(float(h)) * mpmath.exp(mpmath.mpf(float(w))))
                 worst = max(worst, float(abs((value - exact) / exact)))
     assert worst <= 2e-14
+
+
+def test_step_coefficients_match_mpmath():
+    # A and Q of one step, read off advance (phi = 1 with zero forcing gives A,
+    # phi = 0 with g_next = 1 and c = 1 gives Q), against 40 digits, wherever
+    # the value exceeds 1e-300; e^w is inf above w = 709.78
+    mpmath = pytest.importorskip("mpmath")
+    ws = np.linspace(-60.0, 800.0, 173)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(ws)).any()
+    worst_a = worst_q = 0.0
+    with mpmath.workdps(40):
+        for q in (0.04, 0.5, 0.96):
+            system = DiffusiveSystem(fractional_part=q, c=1.0, exponents=ws)
+            for h in np.logspace(-8.0, 1.0, 10):
+                h = float(h)
+                for method in METHODS:
+                    amp = advance(np.ones(len(ws)), system, method, h, 0.0, 0.0)
+                    gain = advance(np.zeros(len(ws)), system, method, h, 0.0, 1.0)
+                    assert not np.isnan(amp).any() and not np.isnan(gain).any()
+                    assert np.all(gain >= 0.0)
+                    lowest = 0.0 if method == BACKWARD_EULER else -1.0
+                    assert np.all((amp >= lowest) & (amp <= 1.0))
+                    s = mpmath.mpf(h) if method == BACKWARD_EULER else mpmath.mpf(h) / 2
+                    for w, a, g in zip(ws, amp, gain):
+                        w = mpmath.mpf(float(w))
+                        b = 1 / (1 + s * mpmath.exp(w))
+                        exact_a = b if method == BACKWARD_EULER else 2 * b - 1
+                        exact_q = s * mpmath.exp(mpmath.mpf(q) * w) * b
+                        # relative, but to B where the trapezoidal 2B - 1 cancels
+                        scale = max(abs(exact_a), b)
+                        if scale > 1e-300:
+                            worst_a = max(worst_a, float(abs(a - exact_a) / scale))
+                        if exact_q > 1e-300:
+                            worst_q = max(worst_q, float(abs((g - exact_q) / exact_q)))
+                    if method == BACKWARD_EULER:
+                        # the log form is the reference, to its own |d ln B| <= 2e-14 |ln B|
+                        log_b = backward_euler_log_amplification(ws, h)
+                        ref = np.exp(log_b)
+                        kept = ref > 1e-300
+                        rel = np.abs(amp[kept] - ref[kept]) / ref[kept]
+                        assert np.all(rel <= 2e-14 * np.maximum(1.0, np.abs(log_b[kept])))
+    assert worst_a <= 4e-15
+    assert worst_q <= 2e-13
 
 
 def test_amplification_rejects_nonpositive_step():
@@ -292,6 +338,9 @@ def test_step_rejects_nonpositive_step_size():
     # the message names the caller's h, not the half step the rule uses
     with pytest.raises(InvalidParameterError, match=r"got -0\.5$"):
         advance(phi, system, TRAPEZOIDAL, -0.5, 0.0, 0.0)
+    # the half of the smallest positive step rounds to 0
+    with pytest.raises(InvalidParameterError, match=r"got 5e-324$"):
+        advance(phi, system, TRAPEZOIDAL, 5e-324, 0.0, 0.0)
     for method in METHODS:
         for h in (math.inf, math.nan):
             with pytest.raises(InvalidParameterError):
@@ -375,24 +424,45 @@ def test_forcing_is_only_evaluated_inside_the_interval(a, T, n_steps, method, gr
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize(
-    "a, n_steps, graded", [(0.0, 40, False), (0.0, 40, True), (1e6, 1000, False)]
+    "a, T, n_steps, graded, k, alpha",
+    [(0.0, 1.0, 40, False, 12, 0.9), (0.0, 1.0, 40, True, 12, 0.9), (1e6, 1.0, 1000, False, 12, 0.9)]
+    # chunk edges, and a rule whose extreme modes overflow e^{-w} and e^w
+    + [(0.0, 1.0, n, True, 12, 0.9) for n in (1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)]
+    + [(0.0, 1.0, 2 * _CHUNK + 1, True, 256, 0.96)]
+    # a uniform grid with more distinct rounded step lengths than one chunk keeps
+    + [(-0.0752, 63.4726, 1056, False, 12, 0.9)],
 )
-def test_reused_step_coefficients_never_change_a_step(method, a, n_steps, graded):
+def test_reused_step_coefficients_never_change_a_step(method, a, T, n_steps, graded, k, alpha):
     # far from zero the uniform steps differ in their last bits; coefficients
     # shared between steps of nearly equal length would drift from this loop
-    problem = make_problem("sin", 0.9, a=a, T=1.0)
-    rule = gauss_laguerre_rule(12)
-    grid = graded_grid(a, 1.0, n_steps, 2.0) if graded else uniform_grid(a, 1.0, n_steps)
+    problem = make_problem("sin", alpha, a=a, T=T)
+    grid = graded_grid(a, T, n_steps, 2.0) if graded else uniform_grid(a, T, n_steps)
+    _assert_matches_advance_loop(problem, gauss_laguerre_rule(k), grid, method)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_long_span_that_meets_many_step_lengths_steps_like_advance(method):
+    # 100 equal steps let the stepper take a long span, which then runs into
+    # 300 distinct step lengths, more than one chunk may hold
+    points = np.concatenate((np.arange(101) / 1024, 100 / 1024 + np.linspace(0.0, 1.0, 301)[1:] ** 2))
+    problem = make_problem("sin", 0.9, a=0.0, T=float(points[-1]))
+    _assert_matches_advance_loop(problem, gauss_laguerre_rule(12), TimeGrid(points), method)
+
+
+def _assert_matches_advance_loop(problem, rule, grid, method):
     system = build_system(problem, rule)
     phi = np.zeros(2 * system.npoints)
     expected = [phi]
     step_method, g_prev = BACKWARD_EULER, 0.0
-    for t_prev, t_next in zip(grid.points[:-1], grid.points[1:]):
-        g_next = problem.d_upper(float(t_next))
-        phi = advance(phi, system, step_method, float(t_next) - float(t_prev), g_prev, g_next)
-        expected.append(phi)
-        step_method, g_prev = method, g_next
-    got = list(iter_solution(problem, rule, grid, method=method))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t_prev, t_next in zip(grid.points[:-1], grid.points[1:]):
+            g_next = problem.d_upper(float(t_next))
+            h = float(t_next) - float(t_prev)
+            phi = advance(phi, system, step_method, h, g_prev, g_next)
+            expected.append(phi)
+            step_method, g_prev = method, g_next
+        got = list(iter_solution(problem, rule, grid, method=method))
     assert len(got) == len(expected)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
 
