@@ -27,12 +27,13 @@ from .diffusive import DerivativeProblem, TimeGrid, uniform_grid
 from .diffusive import build_system  # noqa: F401 - perfbench/tracing.py rebinds this name
 from .errors import InsufficientDataError, InvalidParameterError
 from .oracle import (
+    _validate_tol,
     brute_force_caputo,
     exact_combination,
     reference_quadrature,
     require_d_upper_plus,
 )
-from .quadrature import QuadratureRule, gauss_laguerre_rule
+from .quadrature import MAX_NODES, QuadratureRule, _check_count, gauss_laguerre_rule
 from .steppers import BACKWARD_EULER, evaluate_derivative, quadrature_coefficients
 from .steppers import iter_solution  # noqa: F401 - perfbench/tracing.py rebinds this name
 from .steppers import state_combination  # noqa: F401 - perfbench/tracing.py rebinds this name
@@ -74,6 +75,7 @@ def ode_error_profile(
     truth_tol: float = 1e-10,
 ) -> np.ndarray:
     """The ODE error r_ode at every grid index, as decompose_error reports it (index 0 is 0)."""
+    truth_tol = _validate_tol(truth_tol)
     scheme = evaluate_derivative(problem, rule, grid, method=method)
     return _exact_sums(problem, rule, grid, truth_tol) - scheme
 
@@ -82,6 +84,7 @@ def quadrature_error(
     problem: DerivativeProblem, rule: QuadratureRule, t: float, truth_tol: float = 1e-10
 ) -> float:
     """The quadrature error component at time t (independent of any grid)."""
+    truth_tol = _validate_tol(truth_tol)
     if t == problem.a:
         return 0.0
     return reference_quadrature(problem, t, truth_tol) - _rule_sum(problem, rule, t, truth_tol)
@@ -166,7 +169,7 @@ def ode_error_constant(
     log_n0 = math.log(d_upper_sup) if d_upper_sup > 0.0 else -math.inf
     bracket = np.logaddexp(log_n1, math.log(2.0) + x_max / (1.0 - q) + log_n0)
     ln_c = (
-        math.log(abs(math.sin(problem.alpha * math.pi)) / (2.0 * math.pi))
+        math.log(abs(problem.prefactor) / 2.0)
         + x_max * q / (1.0 - q)
         + float(bracket)
     )
@@ -209,6 +212,7 @@ def verify_ode_error_bound(
     d_upper_plus_sup: float | None = None,
 ) -> OdeBoundReport:
     """Check max_n |r_ode| <= C(K) T h for each uniform grid size in n_list."""
+    truth_tol = _validate_tol(truth_tol)
     constant = ode_error_constant(
         problem, rule, d_upper_sup=d_upper_sup, d_upper_plus_sup=d_upper_plus_sup
     )
@@ -303,7 +307,8 @@ def quadrature_decay_study(
     truth_tol: float = 1e-10,
 ) -> DecayStudy:
     """|r_q| at one time point for each node count in increasing ``k_list``."""
-    k_list = [int(k) for k in k_list]
+    truth_tol = _validate_tol(truth_tol)
+    k_list = [_check_count(k, "node count", MAX_NODES) for k in k_list]
     if len(k_list) == 0 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise InvalidParameterError("k_list must be nonempty and strictly increasing")
     # the truth does not depend on K, so one oracle call serves the sweep

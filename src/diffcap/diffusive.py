@@ -16,13 +16,13 @@ once they would overflow).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidOrderError, InvalidParameterError
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _check_count
 
 INTEGER_ORDER_TOL = 1e-12
 
@@ -60,7 +60,8 @@ class DerivativeProblem:
     ``d_upper`` supplies the ceil(alpha)-th derivative of the target function
     (the scheme is driven by it, never by the function itself).
     ``d_upper_plus`` optionally supplies the next derivative, needed only for
-    the a-priori ODE-error constant.
+    the a-priori ODE-error constant.  The float order, its derived constants
+    and the end a + T are computed once, on construction.
     """
 
     alpha: float
@@ -68,9 +69,13 @@ class DerivativeProblem:
     T: float
     d_upper: Callable[[float], float]
     d_upper_plus: Callable[[float], float] | None = None
+    ceil_order: int = field(init=False)
+    fractional_part: float = field(init=False)
+    prefactor: float = field(init=False)
+    end: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _validate_order(self.alpha)
+        alpha = _validate_order(self.alpha)
         if not math.isfinite(self.a):
             raise InvalidParameterError(f"left endpoint must be finite, got {self.a}")
         if not (math.isfinite(self.T) and self.T > 0.0):
@@ -79,22 +84,11 @@ class DerivativeProblem:
             raise InvalidParameterError(
                 f"interval end a + T overflows, got a = {self.a}, T = {self.T}"
             )
-
-    @property
-    def ceil_order(self) -> int:
-        return math.ceil(self.alpha)
-
-    @property
-    def fractional_part(self) -> float:
-        return fractional_part(self.alpha)
-
-    @property
-    def prefactor(self) -> float:
-        return signed_prefactor(self.alpha)
-
-    @property
-    def end(self) -> float:
-        return self.a + self.T
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "ceil_order", math.ceil(alpha))
+        object.__setattr__(self, "fractional_part", fractional_part(alpha))
+        object.__setattr__(self, "prefactor", signed_prefactor(alpha))
+        object.__setattr__(self, "end", self.a + self.T)
 
 
 @dataclass(frozen=True)
@@ -172,8 +166,7 @@ class TimeGrid:
 
 def uniform_grid(a: float, T: float, n_steps: int) -> TimeGrid:
     """Uniform grid t_n = a + n h, h = T / n_steps."""
-    if n_steps < 1:
-        raise InvalidParameterError(f"need at least one step, got {n_steps}")
+    n_steps = _check_count(n_steps, "step count")
     points = a + (T / n_steps) * np.arange(n_steps + 1, dtype=float)
     points[-1] = a + T
     return TimeGrid(points)
@@ -181,8 +174,7 @@ def uniform_grid(a: float, T: float, n_steps: int) -> TimeGrid:
 
 def graded_grid(a: float, T: float, n_steps: int, exponent: float = 2.0) -> TimeGrid:
     """Graded grid t_n = a + T (n / N)^exponent, clustered toward a for exponent > 1."""
-    if n_steps < 1:
-        raise InvalidParameterError(f"need at least one step, got {n_steps}")
+    n_steps = _check_count(n_steps, "step count")
     if not (math.isfinite(exponent) and exponent > 0.0):
         raise InvalidParameterError(f"grading exponent must be positive, got {exponent}")
     frac = np.arange(n_steps + 1, dtype=float) / n_steps

@@ -156,9 +156,10 @@ def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float)
 
     ``rule`` supplies ``nodes`` x_k and ``log_weights`` ln a_k.  Node
     tolerances are split so the weighted sum over all nodes, with weights
-    a_k e^{x_k}, stays within ``budget``.  No range validation: callers pass
-    their own truth tolerance and the times of their own grid.
+    a_k e^{x_k}, stays within ``budget``, which must lie in [TOL_MIN, TOL_MAX].
+    No time validation: callers pass the times of their own grid.
     """
+    budget = _validate_tol(budget)
     q = problem.fractional_part
     npoints = len(rule.nodes)
     coef_log = rule.log_weights + rule.nodes

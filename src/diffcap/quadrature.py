@@ -48,6 +48,13 @@ class QuadratureRule:
         return w
 
 
+def _check_count(value: int, what: str, hi: float = math.inf) -> int:
+    """``value`` as an int in [1, hi]: an int or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 1 <= value <= hi:
+        raise InvalidParameterError(f"{what} must be an integer in [1, {hi}], got {value!r}")
+    return int(value)
+
+
 def _scaled_laguerre(n: int, x: float) -> tuple[float, float]:
     """Return (e^{-x/2} L_n(x), e^{-x/2} L_{n-1}(x)) by upward recurrence.
 
@@ -78,11 +85,7 @@ def gauss_laguerre_rule(npoints: int) -> QuadratureRule:
     Deterministic: the same K always yields bit-identical nodes and weights.
     Raises :class:`InvalidParameterError` for K < 1 or K > MAX_NODES.
     """
-    if not isinstance(npoints, (int, np.integer)) or isinstance(npoints, bool):
-        raise InvalidParameterError(f"node count must be an integer, got {npoints!r}")
-    k = int(npoints)
-    if k < 1 or k > MAX_NODES:
-        raise InvalidParameterError(f"node count must be in [1, {MAX_NODES}], got {k}")
+    k = _check_count(npoints, "node count", MAX_NODES)
 
     roots: list[float] = []
     log_weights: list[float] = []
@@ -123,19 +126,10 @@ def truncate_rule(rule: QuadratureRule, k_star: int) -> QuadratureRule:
     """Keep only the first ``k_star`` nodes/weights of ``rule``.
 
     The weight sum is no longer 1 (it drops below); all per-node properties
-    are inherited.  ``k_star`` must satisfy 1 <= k_star <= rule.npoints.
+    are inherited, and the arrays are read-only views of the parent's.
+    ``k_star`` must satisfy 1 <= k_star <= rule.npoints.
     """
-    if not isinstance(k_star, (int, np.integer)) or isinstance(k_star, bool):
-        raise InvalidParameterError(f"truncation count must be an integer, got {k_star!r}")
-    k_star = int(k_star)
-    if k_star < 1 or k_star > rule.npoints:
-        raise InvalidParameterError(
-            f"truncation count must be in [1, {rule.npoints}], got {k_star}"
-        )
+    k_star = _check_count(k_star, "truncation count", rule.npoints)
     if k_star == rule.npoints:
         return rule
-    nodes = rule.nodes[:k_star].copy()
-    logw = rule.log_weights[:k_star].copy()
-    nodes.setflags(write=False)
-    logw.setflags(write=False)
-    return QuadratureRule(npoints=k_star, nodes=nodes, log_weights=logw)
+    return QuadratureRule(k_star, rule.nodes[:k_star], rule.log_weights[:k_star])

@@ -12,6 +12,7 @@ from diffcap import (
     UnsupportedOperationError,
     corpus_function,
     decompose_error,
+    exact_combination,
     fit_rate,
     gauss_laguerre_rule,
     graded_grid,
@@ -24,6 +25,7 @@ from diffcap import (
     verify_ode_error_bound,
 )
 from diffcap.analysis import LogScaledValue, ode_error_profile
+from diffcap.quadrature import MAX_NODES
 
 
 def test_decomposition_vanishes_at_start():
@@ -87,6 +89,24 @@ def test_decompose_validates_truth_tol():
         decompose_error(
             problem, gauss_laguerre_rule(5), uniform_grid(0.0, 1.0, 4), truth_tol=1e-6
         )
+
+
+@pytest.mark.parametrize("truth_tol", [-1.0, 0.0, math.nan, 1e-3, 1e-20])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p, r, tol: ode_error_profile(p, r, uniform_grid(0.0, 1.0, 4), truth_tol=tol),
+        lambda p, r, tol: verify_ode_error_bound(p, r, [4], truth_tol=tol),
+        lambda p, r, tol: quadrature_decay_study(p, 0.0, [r.npoints], truth_tol=tol),
+        lambda p, r, tol: quadrature_error(p, r, 0.0, truth_tol=tol),
+        lambda p, r, tol: exact_combination(p, r, 1.0, tol),
+    ],
+    ids=["ode_error_profile", "verify_ode_error_bound", "quadrature_decay_study-at-a",
+         "quadrature_error-at-a", "exact_combination"],
+)
+def test_analysis_entries_check_truth_tol(entry, truth_tol):
+    with pytest.raises(InvalidParameterError, match="tolerance must lie in"):
+        entry(make_problem("pow2", 0.5), gauss_laguerre_rule(6), truth_tol)
 
 
 def test_ode_profile_starts_at_zero_and_shrinks_with_h():
@@ -298,6 +318,13 @@ def test_decay_study_requires_increasing_k():
     problem = make_problem("pow2", 0.5)
     with pytest.raises(InvalidParameterError):
         quadrature_decay_study(problem, 1.0, [10, 5], truth_tol=1e-10)
+
+
+@pytest.mark.parametrize("k_list", [[2.5, 4], [True, 4], [4, MAX_NODES + 1]])
+def test_decay_study_takes_integer_node_counts(k_list):
+    problem = make_problem("pow2", 0.5)
+    with pytest.raises(InvalidParameterError, match="node count"):
+        quadrature_decay_study(problem, 1.0, k_list, truth_tol=1e-10)
 
 
 def test_decay_study_matches_quadrature_error():

@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -12,6 +13,14 @@ from diffcap.cli import (
     main,
     parse_config,
     run,
+)
+from diffcap import (
+    brute_force_caputo,
+    evaluate_derivative,
+    graded_grid,
+    make_problem,
+    truncate_rule,
+    uniform_grid,
 )
 from diffcap.errors import EvaluationError, OracleError
 from diffcap.quadrature import gauss_laguerre_rule
@@ -431,3 +440,61 @@ def test_run_maps_failures_to_exit_codes(monkeypatch, capsys):
     assert run(config) == EXIT_ORACLE
     err = capsys.readouterr().err
     assert "numerical failure" in err and "oracle failure" in err
+
+
+def _csv_columns(text):
+    # a column left empty (no closed form) is dropped
+    rows = [line.rstrip(",").split(",") for line in text.splitlines()[1:]]
+    return [[float(field) for field in column] for column in zip(*rows)]
+
+
+@pytest.mark.parametrize(
+    "settings, rule, grid",
+    [
+        # the truncated rule of K_star
+        (["K=12", "K_star=5"], lambda: truncate_rule(gauss_laguerre_rule(12), 5),
+         lambda: uniform_grid(-0.5, 2.0, 9)),
+        # the graded grid of grid=graded(e)
+        (["K=12", "grid=graded(1.5)"], lambda: gauss_laguerre_rule(12),
+         lambda: graded_grid(-0.5, 2.0, 9, 1.5)),
+    ],
+    ids=["k-star", "graded"],
+)
+def test_run_derivative_values_are_the_library_call(settings, rule, grid, capsys):
+    argv = ["derivative", "alpha=1.3", "a=-0.5", "T=2", "N=9", "function=sin", *settings]
+    assert main(argv) == EXIT_OK
+    columns = _csv_columns(capsys.readouterr().out)
+    problem = make_problem("sin", 1.3, a=-0.5, T=2.0)
+    assert columns[1] == grid().points.tolist()
+    assert columns[2] == evaluate_derivative(problem, rule(), grid()).tolist()
+
+
+def test_run_convergence_without_closed_form_measures_against_brute_force(capsys):
+    argv = ["convergence", "alpha=0.5", "a=0", "T=1", "K=8", "N_list=4,8,16", "function=sin",
+            "truth_tol=1e-8"]
+    assert main(argv) == EXIT_OK
+    resolutions, errs = _csv_columns(capsys.readouterr().out)[:2]
+    problem = make_problem("sin", 0.5)
+    for n_steps, err in zip((4, 8, 16), errs):
+        grid = uniform_grid(0.0, 1.0, n_steps)
+        values = evaluate_derivative(problem, gauss_laguerre_rule(8), grid)
+        truths = [brute_force_caputo(problem, float(t), 1e-8) for t in grid.points]
+        assert err == max(abs(v - truth) for v, truth in zip(values, truths))
+    assert resolutions[:3] == [4.0, 8.0, 16.0]
+
+
+def test_main_reads_config_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("command = nodes\nK = 1\n"))
+    assert main(["-"]) == EXIT_OK
+    assert capsys.readouterr().out == "k,node,weight\n1,1.0,1.0\n"
+
+
+def test_main_rejects_settings_after_a_config_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("command = nodes\n", encoding="utf-8")
+    assert main([str(path), "K=1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "diffcap: config error: key=value settings only follow a command name\n"
+    )

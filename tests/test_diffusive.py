@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -125,11 +126,43 @@ def test_problem_validation():
         DerivativeProblem(alpha=0.5, a=1e308, T=1e308, d_upper=lambda t: 0.0)
 
 
+def _assert_derived_fields(problem):
+    assert type(problem.alpha) is float
+    assert problem.ceil_order == math.ceil(problem.alpha)
+    assert problem.fractional_part == fractional_part(problem.alpha)
+    assert problem.prefactor == signed_prefactor(problem.alpha)
+    assert problem.end == problem.a + problem.T
+
+
+@pytest.mark.parametrize("alpha", [np.float64(1.5), 0.3, 2.7])
+def test_problem_stores_its_derived_constants(alpha):
+    problem = DerivativeProblem(alpha=alpha, a=-3.7, T=2.3, d_upper=lambda t: 0.0)
+    assert problem.alpha == float(alpha)
+    _assert_derived_fields(problem)
+    # replace re-runs the validation and recomputes every derived field
+    _assert_derived_fields(dataclasses.replace(problem, d_upper=math.sin))
+    moved = dataclasses.replace(problem, alpha=np.float64(4.25), a=1.0, T=0.5)
+    assert (moved.ceil_order, moved.end) == (5, 1.5)
+    _assert_derived_fields(moved)
+    with pytest.raises(InvalidOrderError):
+        dataclasses.replace(problem, alpha=3.0)
+    with pytest.raises(TypeError):
+        DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=math.sin, end=2.0)
+
+
 def test_uniform_grid_construction():
     grid = uniform_grid(1.0, 2.0, 8)
     assert grid.n_steps == 8
     assert grid.points[0] == 1.0
     assert grid.points[-1] == 3.0
+    assert np.array_equal(uniform_grid(1.0, 2.0, np.int64(8)).points, grid.points)
+
+
+@pytest.mark.parametrize("make_grid", [uniform_grid, graded_grid])
+@pytest.mark.parametrize("n_steps", [0, -1, 2.5, True, math.nan, math.inf, "3"])
+def test_grids_take_integer_step_counts(make_grid, n_steps):
+    with pytest.raises(InvalidParameterError, match="step count"):
+        make_grid(0.0, 1.0, n_steps)
 
 
 def test_graded_grid_clusters_toward_left_endpoint():

@@ -110,9 +110,9 @@ def test_rule_arrays_are_read_only():
         rule.nodes[0] = 0.0
 
 
-@pytest.mark.parametrize("k", [0, -3, MAX_NODES + 1])
+@pytest.mark.parametrize("k", [0, -3, MAX_NODES + 1, True, math.nan, "3"])
 def test_invalid_node_count_rejected(k):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="node count"):
         gauss_laguerre_rule(k)
 
 
@@ -135,7 +135,19 @@ def test_truncation_keeps_prefix():
     assert float(np.sum(cut.weights)) < 1.0
 
 
-@pytest.mark.parametrize("k_star", [0, 11])
+@pytest.mark.parametrize("k_star", [1, 4, np.int64(9)])
+def test_truncation_is_a_read_only_prefix(k_star):
+    rule = gauss_laguerre_rule(10)
+    cut = truncate_rule(rule, k_star)
+    assert cut.npoints == k_star and type(cut.npoints) is int
+    for part, whole in ((cut.nodes, rule.nodes), (cut.log_weights, rule.log_weights)):
+        assert np.array_equal(part, whole[:k_star])
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+
+
+@pytest.mark.parametrize("k_star", [0, 11, 2.5, True, np.float64(3.0)])
 def test_truncation_bounds_enforced(k_star):
     rule = gauss_laguerre_rule(10)
     with pytest.raises(InvalidParameterError):
