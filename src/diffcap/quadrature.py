@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -80,13 +80,19 @@ def _initial_guess(k: int, i: int, roots: list[float]) -> float:
 
 
 def gauss_laguerre_rule(npoints: int) -> QuadratureRule:
-    """Generate the K-point Gauss-Laguerre rule, K = ``npoints``.
+    """The K-point Gauss-Laguerre rule, K = ``npoints``.
 
-    Deterministic: the same K always yields bit-identical nodes and weights.
-    Raises :class:`InvalidParameterError` for K < 1 or K > MAX_NODES.
+    Each K is generated once per process; later calls return the same
+    read-only rule object.  Deterministic: the same K always yields
+    bit-identical nodes and weights.  Raises :class:`InvalidParameterError`
+    for K < 1 or K > MAX_NODES.
     """
-    k = _check_count(npoints, "node count", MAX_NODES)
+    return _rule(_check_count(npoints, "node count", MAX_NODES))
 
+
+@cache
+def _rule(k: int) -> QuadratureRule:
+    # keyed on the checked int: True == 1 and 3.0 == 3 hash alike
     roots: list[float] = []
     log_weights: list[float] = []
     for i in range(k):

@@ -1,9 +1,14 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import diffcap
 from diffcap.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -498,3 +503,24 @@ def test_main_rejects_settings_after_a_config_file(tmp_path, capsys):
     assert captured.err == (
         "diffcap: config error: key=value settings only follow a command name\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodes", "K=256"],
+    ["derivative", "alpha=0.6", "a=0", "T=1", "N=40", "K=64", "function=sin", "grid=graded(2)"],
+])
+def test_output_is_identical_in_fresh_processes(argv, capsys):
+    # each fresh process generates its rule; this process reuses a cached one
+    k = int(next(arg for arg in argv if arg.startswith("K="))[2:])
+    gauss_laguerre_rule(k)
+    assert main(argv) == EXIT_OK
+    in_process = capsys.readouterr().out.encode("utf-8")
+    env = dict(os.environ)
+    src = str(Path(diffcap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    streams = [
+        subprocess.run([sys.executable, "-m", "diffcap.cli", *argv], env=env,
+                       capture_output=True, check=True).stdout
+        for _ in range(2)
+    ]
+    assert streams[0] == streams[1] == in_process

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffcap import InvalidParameterError, gauss_laguerre_rule, truncate_rule
-from diffcap.quadrature import MAX_NODES, _scaled_laguerre
+from diffcap.quadrature import MAX_NODES, _rule, _scaled_laguerre
 
 
 def _two_point_oracle():
@@ -78,10 +78,16 @@ def test_log_weights_are_computed_directly():
 
 
 def test_rules_are_deterministic():
+    # the shared rule against a fresh generation that bypasses the cache
     a = gauss_laguerre_rule(48)
-    b = gauss_laguerre_rule(48)
-    assert np.array_equal(a.nodes, b.nodes)
-    assert np.array_equal(a.log_weights, b.log_weights)
+    b = _rule.__wrapped__(48)
+    assert a is not b
+    assert a.nodes.tobytes() == b.nodes.tobytes()
+    assert a.log_weights.tobytes() == b.log_weights.tobytes()
+
+
+def test_rule_is_generated_once_per_count():
+    assert gauss_laguerre_rule(48) is gauss_laguerre_rule(np.int64(48))
 
 
 def _integer_index_laguerre(n, x):
@@ -105,13 +111,21 @@ def test_scaled_laguerre_is_bit_identical_to_integer_index_loop(n):
 
 
 def test_rule_arrays_are_read_only():
+    # every caller of gauss_laguerre_rule(4) shares these arrays
     rule = gauss_laguerre_rule(4)
-    with pytest.raises(ValueError):
-        rule.nodes[0] = 0.0
+    for array in (rule.nodes, rule.log_weights, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
-@pytest.mark.parametrize("k", [0, -3, MAX_NODES + 1, True, math.nan, "3"])
+@pytest.mark.parametrize("k", [0, -3, MAX_NODES + 1, True, math.nan, "3", 3.0, np.float64(3.0)])
 def test_invalid_node_count_rejected(k):
+    # with 1 and 3 cached: True == 1 and 3.0 == 3 hash alike, so a cache
+    # keyed on the raw argument would hand these a rule (functools.cache
+    # keys a lone int by itself but a numpy integer by a tuple, which True,
+    # 3.0 and np.float64(3.0) match)
+    for count in (1, 3, np.int64(1), np.int64(3)):
+        gauss_laguerre_rule(count)
     with pytest.raises(InvalidParameterError, match="node count"):
         gauss_laguerre_rule(k)
 
