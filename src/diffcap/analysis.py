@@ -39,6 +39,7 @@ from .steppers import iter_solution  # noqa: F401 - perfbench/tracing.py rebinds
 from .steppers import state_combination  # noqa: F401 - perfbench/tracing.py rebinds this name
 
 _NORM_SAMPLES = 10001
+DECOMPOSE_TOL_MAX = 1e-8  # decompose_error's loosest truth_tol
 _LOG10 = math.log(10.0)
 
 
@@ -85,8 +86,6 @@ def quadrature_error(
 ) -> float:
     """The quadrature error component at time t (independent of any grid)."""
     truth_tol = _validate_tol(truth_tol)
-    if t == problem.a:
-        return 0.0
     return reference_quadrature(problem, t, truth_tol) - _rule_sum(problem, rule, t, truth_tol)
 
 
@@ -119,8 +118,7 @@ def decompose_error(
     r_total = r_q + r_ode holds only up to the oracles' agreement
     (within 10 * truth_tol).
     """
-    if not (1e-14 <= truth_tol <= 1e-8):
-        raise InvalidParameterError(f"truth_tol must lie in [1e-14, 1e-8], got {truth_tol}")
+    truth_tol = _validate_tol(truth_tol, DECOMPOSE_TOL_MAX)
     scheme = evaluate_derivative(problem, rule, grid, method=method)
     exact_sums = _exact_sums(problem, rule, grid, truth_tol)
     rows = [ErrorDecomposition(0, 0.0, 0.0, 0.0, truth_tol)]
@@ -141,7 +139,7 @@ def decompose_error(
 
 def _sampled_sup(fn, a: float, T: float) -> float:
     ts = np.linspace(a, a + T, _NORM_SAMPLES)
-    return float(max(abs(fn(float(t))) for t in ts))
+    return float(np.max(np.abs([fn(float(t)) for t in ts])))
 
 
 def ode_error_constant(
@@ -161,8 +159,8 @@ def ode_error_constant(
         d_upper_plus_sup = _sampled_sup(require_d_upper_plus(problem), problem.a, problem.T)
     if d_upper_sup is None:
         d_upper_sup = _sampled_sup(problem.d_upper, problem.a, problem.T)
-    if d_upper_sup == 0.0 and d_upper_plus_sup == 0.0:
-        return LogScaledValue(log10=-math.inf)
+    if not (d_upper_sup >= 0.0 and d_upper_plus_sup >= 0.0):
+        raise InvalidParameterError(f"sup-norms must be >= 0, got {d_upper_sup}, {d_upper_plus_sup}")
     q = problem.fractional_part
     x_max = float(rule.nodes[-1])
     log_n1 = math.log(d_upper_plus_sup) if d_upper_plus_sup > 0.0 else -math.inf
@@ -312,7 +310,7 @@ def quadrature_decay_study(
     if len(k_list) == 0 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise InvalidParameterError("k_list must be nonempty and strictly increasing")
     # the truth does not depend on K, so one oracle call serves the sweep
-    truth = 0.0 if t == problem.a else reference_quadrature(problem, t, truth_tol)
+    truth = reference_quadrature(problem, t, truth_tol)
     points = tuple(
         (k, abs(truth - _rule_sum(problem, gauss_laguerre_rule(k), t, truth_tol))) for k in k_list
     )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import decompose_error, fit_rate
+from .analysis import DECOMPOSE_TOL_MAX, decompose_error, fit_rate
 from .diffusive import (
     DerivativeProblem,
     TimeGrid,
@@ -137,7 +137,7 @@ def _as_int_list(pairs: dict[str, str], key: str) -> tuple[int, ...]:
         values = tuple(int(part.strip()) for part in pairs[key].split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated integers, got {pairs[key]!r}") from None
-    if len(values) == 0 or any(b <= a for a, b in zip(values, values[1:])):
+    if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"{key}: must be strictly increasing, got {pairs[key]!r}")
     return values
 
@@ -224,7 +224,7 @@ def parse_config(text: str) -> RunConfig:
         config.truth_tol = _as_float(pairs, "truth_tol")
         if not TOL_MIN <= config.truth_tol <= TOL_MAX:
             raise ConfigError(f"truth_tol: must lie in [{TOL_MIN}, {TOL_MAX}]")
-        if command == "decompose" and config.truth_tol > 1e-8:
+        if command == "decompose" and config.truth_tol > DECOMPOSE_TOL_MAX:
             raise ConfigError("truth_tol: decompose requires truth_tol <= 1e-8")
     if "output" in pairs:
         config.output = pairs["output"]

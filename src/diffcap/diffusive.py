@@ -178,6 +178,4 @@ def graded_grid(a: float, T: float, n_steps: int, exponent: float = 2.0) -> Time
     if not (math.isfinite(exponent) and exponent > 0.0):
         raise InvalidParameterError(f"grading exponent must be positive, got {exponent}")
     frac = np.arange(n_steps + 1, dtype=float) / n_steps
-    points = a + T * frac**exponent
-    points[-1] = a + T
-    return TimeGrid(points)
+    return TimeGrid(a + T * frac**exponent)

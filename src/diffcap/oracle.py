@@ -32,16 +32,17 @@ from .errors import InvalidParameterError, OracleError, UnsupportedOperationErro
 
 TOL_MIN = 1e-14
 TOL_MAX = 1e-6
+_TOL_FLOOR, _TOL_CEIL = 1e-300, 1e6  # _bounded_exp's clamp of derived tolerances
 
 #: decay lengths kept when clipping the boundary-layer window; exp(-40) is
 #: below double resolution of the remaining integral
 _CLIP_LENGTHS = 40.0
 
 
-def _validate_tol(tol: float) -> float:
+def _validate_tol(tol: float, upper: float = TOL_MAX) -> float:
     tol = float(tol)
-    if not (TOL_MIN <= tol <= TOL_MAX):
-        raise InvalidParameterError(f"tolerance must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    if not (TOL_MIN <= tol <= upper):
+        raise InvalidParameterError(f"tolerance must lie in [{TOL_MIN}, {upper}], got {tol}")
     return tol
 
 
@@ -76,12 +77,11 @@ def _adaptive_integral(f: Callable[[float], float], lo: float, hi: float, abs_to
     return value
 
 
-def _bounded_exp(log_value: float, lo: float = 1e-300, hi: float = 1e6) -> float:
-    """exp with graceful clamping, for derived integration tolerances."""
-    if log_value >= math.log(hi):
-        return hi
-    value = math.exp(log_value)
-    return max(value, lo)
+def _bounded_exp(log_value: float) -> float:
+    """exp clamped to [_TOL_FLOOR, _TOL_CEIL], for derived integration tolerances."""
+    if log_value >= math.log(_TOL_CEIL):
+        return _TOL_CEIL
+    return max(math.exp(log_value), _TOL_FLOOR)
 
 
 def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float) -> float:
@@ -140,6 +140,8 @@ def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
+    if math.isnan(w):
+        raise InvalidParameterError("w must be a number, got nan")
     return _phi_integral(problem, float(w), t, tol)
 
 
@@ -166,8 +168,7 @@ def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float)
     split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
     out = np.empty(npoints)
     for k, x in enumerate(rule.nodes):
-        tol_k = max(math.exp(min(split - coef_log[k], math.log(1e6))), 1e-300)
-        out[k] = _folded(problem, x, t, tol_k)
+        out[k] = _folded(problem, x, t, _bounded_exp(split - coef_log[k]))
     return out
 
 

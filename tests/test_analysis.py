@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from diffcap import (
     InsufficientDataError,
     InvalidParameterError,
     UnsupportedOperationError,
+    brute_force_caputo,
     corpus_function,
+    corpus_names,
     decompose_error,
     exact_combination,
     fit_rate,
@@ -20,6 +23,7 @@ from diffcap import (
     make_problem,
     quadrature_decay_study,
     quadrature_error,
+    reference_quadrature,
     truncate_rule,
     uniform_grid,
     verify_ode_error_bound,
@@ -83,11 +87,12 @@ def test_quadrature_component_is_grid_independent():
         assert abs(coarse[i].r_q - fine[4 * i].r_q) <= 10.0 * truth_tol
 
 
-def test_decompose_validates_truth_tol():
+@pytest.mark.parametrize("truth_tol", [1e-6, 1e-7, 1e-15, math.nan, -1.0])
+def test_decompose_validates_truth_tol(truth_tol):
     problem = make_problem("pow2", 0.5)
     with pytest.raises(InvalidParameterError):
         decompose_error(
-            problem, gauss_laguerre_rule(5), uniform_grid(0.0, 1.0, 4), truth_tol=1e-6
+            problem, gauss_laguerre_rule(5), uniform_grid(0.0, 1.0, 4), truth_tol=truth_tol
         )
 
 
@@ -100,13 +105,27 @@ def test_decompose_validates_truth_tol():
         lambda p, r, tol: quadrature_decay_study(p, 0.0, [r.npoints], truth_tol=tol),
         lambda p, r, tol: quadrature_error(p, r, 0.0, truth_tol=tol),
         lambda p, r, tol: exact_combination(p, r, 1.0, tol),
+        lambda p, r, tol: decompose_error(p, r, uniform_grid(0.0, 1.0, 4), truth_tol=tol),
     ],
     ids=["ode_error_profile", "verify_ode_error_bound", "quadrature_decay_study-at-a",
-         "quadrature_error-at-a", "exact_combination"],
+         "quadrature_error-at-a", "exact_combination", "decompose_error"],
 )
 def test_analysis_entries_check_truth_tol(entry, truth_tol):
     with pytest.raises(InvalidParameterError, match="tolerance must lie in"):
         entry(make_problem("pow2", 0.5), gauss_laguerre_rule(6), truth_tol)
+
+
+@pytest.mark.parametrize("k", [4, 12])
+@pytest.mark.parametrize("alpha", [0.5, 1.3, 2.7])
+@pytest.mark.parametrize("name", corpus_names())
+def test_oracles_give_exact_zero_at_left_endpoint(name, alpha, k):
+    # pow2.5 at alpha = 2.7 has d_upper(a) = inf; no oracle may read it at t = a
+    problem = make_problem(name, alpha, a=-3.7, T=2.3)
+    rule = gauss_laguerre_rule(k)
+    assert brute_force_caputo(problem, -3.7, 1e-10) == 0.0
+    assert reference_quadrature(problem, -3.7, 1e-10) == 0.0
+    assert quadrature_error(problem, rule, -3.7, 1e-10) == 0.0
+    assert quadrature_decay_study(problem, -3.7, [k], 1e-10).points == ((k, 0.0),)
 
 
 def test_ode_profile_starts_at_zero_and_shrinks_with_h():
@@ -142,14 +161,48 @@ def test_ode_error_constant_spot_value():
 
 
 def test_ode_error_constant_zero_norms():
-    constant = ode_error_constant(
-        DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: 0.0),
-        gauss_laguerre_rule(3),
-        d_upper_sup=0.0,
-        d_upper_plus_sup=0.0,
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        constant = ode_error_constant(
+            DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: 0.0),
+            gauss_laguerre_rule(3),
+            d_upper_sup=0.0,
+            d_upper_plus_sup=0.0,
+        )
     assert constant.value == 0.0
     assert constant.log10 == -math.inf
+
+
+def _nan_after_half(t):
+    return math.nan if t > 0.5 else 1.0
+
+
+@pytest.mark.parametrize(
+    "d_upper, sups",
+    [
+        (lambda t: 1.0, (math.nan, math.nan)),
+        (lambda t: 1.0, (-1.0, -1.0)),
+        (lambda t: 1.0, (1.0, math.nan)),
+        (lambda t: 1.0, (-1.0, 0.0)),
+        (lambda t: math.nan, (None, None)),
+        (_nan_after_half, (None, None)),
+    ],
+    ids=["nan", "negative", "one-nan", "one-negative", "sampled-nan", "sampled-partly-nan"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p, r, sups: ode_error_constant(p, r, *sups),
+        lambda p, r, sups: verify_ode_error_bound(p, r, [4], 1e-9, *sups),
+    ],
+    ids=["ode_error_constant", "verify_ode_error_bound"],
+)
+def test_ode_error_constant_rejects_nan_and_negative_sups(entry, d_upper, sups):
+    problem = DerivativeProblem(
+        alpha=0.5, a=0.0, T=1.0, d_upper=d_upper, d_upper_plus=lambda t: 1.0
+    )
+    with pytest.raises(InvalidParameterError, match="sup-norms"):
+        entry(problem, gauss_laguerre_rule(6), sups)
 
 
 def test_ode_error_constant_log_space_assembly():
@@ -293,6 +346,7 @@ def test_fit_rate_rejects_non_monotone_xs():
         ([1.0, 2.0, 4.0, math.inf], [1.0, 2.0, 4.0, 8.0]),
         ([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, math.inf, 8.0]),
         ([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, math.nan, 8.0]),
+        ([1.0, 2.0, 4.0], [1.0, 2.0]),
     ],
 )
 def test_fit_rate_rejects_inputs_it_cannot_fit(xs, errs):

@@ -210,6 +210,16 @@ _CONVERGENCE = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow
         ),
         ("command = nodes\nK =\n", "line 2: empty value for 'K'"),
         (_CONVERGENCE + "N = 50\nK_list = 2,4\nK_star = 2", "K_star requires an explicit K"),
+        (_DERIVATIVE.replace("T = 1\n", "T = -1\n"), "T: must be positive, got -1.0"),
+        (_DERIVATIVE.replace("N = 4", "N = 0"), "N: must be at least 1, got 0"),
+        (_DERIVATIVE.replace("\na = 0\n", "\na = x\n"), "a: expected a number, got 'x'"),
+        (_DERIVATIVE.replace("\na = 0\n", "\na = inf\n"), "a: must be finite, got 'inf'"),
+        (
+            _CONVERGENCE + "K = 4\nN_list = 4,x",
+            "N_list: expected comma-separated integers, got '4,x'",
+        ),
+        ("alpha = 0.5\nK = 4", "missing required key 'command'"),
+        (_CONVERGENCE + "N_list = 4,8,16", "convergence: K is required with N_list"),
     ],
 )
 def test_parse_error_messages(text, message):
@@ -334,6 +344,14 @@ def test_run_convergence_with_zero_errors_names_them(capsys):
     assert err.splitlines() == [
         "diffcap: config error: rate fit needs at least 3 positive-error points, 0 survived; "
         "the max error is 0 at resolutions 8, 16, 32"
+    ]
+
+
+def test_run_convergence_with_too_few_points_is_config_error(capsys):
+    assert main(["convergence", "alpha=0.5", "a=0", "T=1", "K=12", "function=pow2",
+                 "N_list=4,8"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "diffcap: config error: rate fit needs at least 3 positive-error points, 2 survived"
     ]
 
 
@@ -462,8 +480,11 @@ def _csv_columns(text):
         # the graded grid of grid=graded(e)
         (["K=12", "grid=graded(1.5)"], lambda: gauss_laguerre_rule(12),
          lambda: graded_grid(-0.5, 2.0, 9, 1.5)),
+        # grid=uniform written out is the default grid
+        (["K=12", "grid=uniform"], lambda: gauss_laguerre_rule(12),
+         lambda: uniform_grid(-0.5, 2.0, 9)),
     ],
-    ids=["k-star", "graded"],
+    ids=["k-star", "graded", "uniform"],
 )
 def test_run_derivative_values_are_the_library_call(settings, rule, grid, capsys):
     argv = ["derivative", "alpha=1.3", "a=-0.5", "T=2", "N=9", "function=sin", *settings]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from diffcap import (
     DerivativeProblem,
@@ -171,6 +171,31 @@ def test_graded_grid_clusters_toward_left_endpoint():
     assert np.all(np.diff(steps) > 0.0)
     assert grid.points[0] == 0.0
     assert grid.points[-1] == 1.0
+
+
+@given(
+    st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 200), st.floats(0.1, 4.0)
+)
+def test_graded_grid_ends_at_a_plus_T(a, T, n_steps, exponent):
+    try:
+        grid = graded_grid(a, T, n_steps, exponent)
+    except InvalidParameterError:  # first steps below the resolution of a
+        assume(False)
+    assert grid.points[-1] == a + T
+
+
+@pytest.mark.parametrize(
+    "make_grid, message",
+    [
+        (lambda: TimeGrid(np.array([0.0])), "at least two points"),
+        (lambda: TimeGrid(np.array([0.0, math.nan])), "finite"),
+        (lambda: graded_grid(0.0, 1.0, 4, 0.0), "grading exponent must be positive"),
+    ],
+    ids=["one-point", "nan-point", "zero-exponent"],
+)
+def test_grid_rejects_invalid_input(make_grid, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        make_grid()
 
 
 def test_grid_rejects_non_monotone_points():

@@ -94,6 +94,11 @@ def test_exact_phi_validates_inputs():
         exact_phi(problem, 1.0, 0.5, 1e-3)
     with pytest.raises(InvalidParameterError):
         exact_phi(problem, 1.0, 0.5, 1e-15)
+    with pytest.raises(InvalidParameterError, match="nan"):
+        exact_phi(problem, math.nan, 0.5, 1e-10)
+    # the infinite exponents keep their limits
+    assert exact_phi(problem, math.inf, 0.5, 1e-10) == 0.0
+    assert exact_phi(problem, -math.inf, 0.5, 1e-10) == 0.0
 
 
 def _one_node_rule(x: float) -> QuadratureRule:
