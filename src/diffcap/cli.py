@@ -289,12 +289,13 @@ def _run_derivative(config: RunConfig) -> list[str]:
     values = evaluate_derivative(problem, _rule_for(config, config.k), grid, method=config.method)
     _check_finite(values, "derivative values")
     lines = ["n,t,value,exact_if_known,abs_err_if_known"]
-    for n, (t, value) in enumerate(zip(grid.points, values)):
-        if exact is None:
-            lines.append(f"{n},{_fmt(t)},{_fmt(value)},,")
-        else:
-            truth = exact(float(t))
-            lines.append(f"{n},{_fmt(t)},{_fmt(value)},{_fmt(truth)},{_fmt(abs(value - truth))}")
+    # Python floats format faster than numpy scalars and repr the same
+    ts, vs = grid.points.tolist(), values.tolist()
+    if exact is None:
+        lines += [f"{n},{t!r},{v!r},," for n, (t, v) in enumerate(zip(ts, vs))]
+    else:
+        lines += [f"{n},{t!r},{v!r},{x!r},{abs(v - x)!r}"
+                  for n, (t, v, x) in enumerate(zip(ts, vs, map(exact, ts)))]
     return lines
 
 

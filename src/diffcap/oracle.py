@@ -14,18 +14,19 @@ Three reference routes are provided:
 
 All three share one globally adaptive integrator (an embedded Gauss-Kronrod
 pair with absolute-error targets) so they owe nothing to the quadrature or
-stepping modules they are used to check.  A small corpus of test functions
+stepping modules they are used to check; ``scipy.integrate`` is imported on
+the first quadrature, not with this module.  A small corpus of test functions
 with hand-written derivatives and closed-form values rounds out the module.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .diffusive import DerivativeProblem
 from .errors import InvalidParameterError, OracleError, UnsupportedOperationError
@@ -37,6 +38,23 @@ _TOL_FLOOR, _TOL_CEIL = 1e-300, 1e6  # _bounded_exp's clamp of derived tolerance
 #: decay lengths kept when clipping the boundary-layer window; exp(-40) is
 #: below double resolution of the remaining integral
 _CLIP_LENGTHS = 40.0
+
+
+class _LazyModule:
+    """Imports module ``name`` on the first attribute read and keeps each
+    attribute it hands out, so later reads are plain instance lookups."""
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+#: a module attribute, not a per-call import, so perfbench/tracing.py can rebind it
+integrate = _LazyModule("scipy.integrate")
 
 
 def _validate_tol(tol: float, upper: float = TOL_MAX) -> float:

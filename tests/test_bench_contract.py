@@ -65,3 +65,27 @@ def test_traced_run_counts_one_forcing_call_per_step():
         assert metrics["steppers.forcing_calls_per_step"] == 1.0, method
         steps = [s for s in tracer.spans if s.name == "steppers.step" and s.request == method]
         assert [s.attrs for s in steps] == [{"N": grid.n_steps, "K": 6, "steps": 16}], method
+
+
+def test_traced_oracles_count_their_quadratures():
+    # the tracer counts quad calls by rebinding oracle.integrate, so every
+    # oracle quadrature must still go through that module attribute
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer, diffcap)
+    problem = diffcap.oracle.make_problem("sin", 0.5)
+    oracles = ("brute_force_caputo", "reference_quadrature")
+    try:
+        for name in oracles:
+            tracer.request = name
+            tracer.begin("bench.request")
+            getattr(diffcap.oracle, name)(problem, 0.7, 1e-9)
+            tracer.end()
+            tracer.request = None
+    finally:
+        tracing.uninstall(saved)
+    quads = dict.fromkeys(oracles, 0)
+    for (request, counter, _), n in tracer.counts.items():
+        if counter == "oracle.quad_calls":
+            quads[request] += n
+    assert all(n >= 1 for n in quads.values()), quads
