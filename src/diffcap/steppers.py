@@ -13,6 +13,14 @@ the coefficients take a form in which an overflowed exponential gives no nan.
 The derivative itself is the weighted sum over nodes, assembled from
 ln a_k + x_k (the weights underflow and e^{x_k} overflows long before their
 product stops being moderate).  One pass over the grid, state of 2K numbers.
+
+With one step length h the recurrence has a closed form over m steps:
+phi_{n+j} = A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i, f_i = g_i + theta g_{i-1},
+so the folded values y_{n+j} = weights . phi_{n+j} of m steps are one
+(m x 2K) table times phi_n plus a lower-triangular Toeplitz kernel times the
+m forcing sums, and phi_{n+m} is A^m phi_n plus one more (m x 2K) product
+(the sum-of-exponentials block structure of Lubich & Schaedle, SIAM J. Sci.
+Comput. 24(1), 2002).  The folded stream takes that path on uniform grids.
 """
 
 from __future__ import annotations
@@ -85,6 +93,10 @@ def _coefficients(exponentials, method: str, steps):
 
 #: most step lengths whose coefficients iter_solution forms in one call, or keeps
 _CHUNK = 16
+#: steps whose folded values one block computes on a uniform grid
+_BLOCK = 32
+#: largest |step - T/N| / (T/N) of a grid that the block path steps as uniform
+_UNIFORM_SPREAD = 3e-11
 
 
 def _check_method(method: str) -> None:
@@ -121,43 +133,80 @@ def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
         )
 
 
+def _forcing(d_upper, t: float) -> float:
+    try:
+        g = float(d_upper(t))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise EvaluationError(f"d_upper failed at t = {t}: {exc}") from exc
+    if not math.isfinite(g):
+        raise EvaluationError(f"d_upper returned a non-finite value at t = {t}")
+    return g
+
+
 def iter_solution(
     problem: DerivativeProblem,
     rule: QuadratureRule,
     grid: TimeGrid,
     method: str = BACKWARD_EULER,
-) -> Iterator[np.ndarray]:
+    *,
+    weights=None,
+) -> Iterator[np.ndarray | float]:
     """Yield the 2K phi values (W_minus block, then W_plus) at every grid index.
 
-    The first array is the read-only zero state.  Only one array is alive at
-    a time, so a full sweep costs O(N K) time and O(K) memory regardless of
-    the grid length.  To run on the first K* nodes
-    only, pass ``truncate_rule(rule, K*)``.  d_upper is called once per grid
-    time after a; the first step is backward Euler whatever the method (a
-    Rannacher start), so no method reads d_upper(a) or keeps a start-up error.
+    The first array is the read-only zero state.  To run on the first K*
+    nodes only, pass ``truncate_rule(rule, K*)``.  d_upper is called once per
+    grid time after a, in order; the first step is backward Euler whatever
+    the method (a Rannacher start), so no method reads d_upper(a) or keeps a
+    start-up error.
+
+    With ``weights`` (2K finite numbers, else InvalidParameterError) it
+    yields the float weights . phi instead, the first one included.  On a
+    grid whose every step lies within a relative 3e-11 of T/N, the values
+    after the first step come _BLOCK = 32 at a time from closed-form tables
+    built once per call for the nominal step T/N; any other grid folds each
+    array as it comes.  At most one array, or at most _BLOCK values and two
+    _BLOCK-row tables, is alive at a time, so a full sweep costs O(N K) time
+    and O(K) memory regardless of the grid length.
     """
     _check_method(method)
     _check_grid(problem, grid)
     system = build_system(problem, rule)
-    phi = np.zeros(2 * system.npoints)
+    if weights is not None:
+        weights = _check_weights(weights, len(system.exponents))
+    points = grid.points
+    if weights is None:
+        yield from _stepwise(problem, system, points, method)
+    elif (h := _uniform_step(points)) is None:
+        yield from map(weights.dot, _stepwise(problem, system, points, method))
+    else:
+        yield from _blocks(problem, system, points, method, weights, h)
+
+
+def _check_weights(weights, n: int) -> np.ndarray:
+    try:
+        weights = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"weights must be {n} finite numbers: {exc}") from exc
+    if weights.shape != (n,) or not np.all(np.isfinite(weights)):
+        raise InvalidParameterError(f"weights must be {n} finite numbers, got shape {weights.shape}")
+    return weights
+
+
+def _stepwise(problem, system, points, method):
+    phi = np.zeros(len(system.exponents))
     phi.setflags(write=False)
     yield phi
     # exact h -> (A, theta, Q), formed a chunk of steps per call: a uniform
     # grid has a handful of distinct rounded h, a graded one a new h at every
     # step; at most _CHUNK sets are kept, so the state stays O(K).  The first
-    # step goes alone (it is backward Euler whatever the method); a chunk
-    # that formed nothing lets the next one span 16 chunks, as long as it
-    # holds at most _CHUNK distinct h
-    exponentials, points, c = _exponentials(system), grid.points, system.c
-    rows, step_method, g_prev, lo, span, last = {}, BACKWARD_EULER, 0.0, 0, 1, len(points) - 1
+    # step goes alone (it is backward Euler whatever the method)
+    exponentials, c, d_upper = _exponentials(system), system.c, problem.d_upper
+    rows, step_method, g_prev, lo, last = {}, BACKWARD_EULER, 0.0, 0, len(points) - 1
     while lo < last:
-        hi = min(lo + span, last)
+        hi = min(lo + (_CHUNK if lo else 1), last)
         times = points[lo : hi + 1].tolist()
         steps = list(map(sub, times[1:], times))
         distinct = set(steps)
-        if len(distinct) > _CHUNK:
-            span = _CHUNK
-            continue
         new = list(distinct.difference(rows))
         if len(rows) + len(new) > _CHUNK:
             rows.clear()
@@ -165,18 +214,73 @@ def iter_solution(
         if new:
             rows.update(zip(new, _coefficients(exponentials, step_method, new)))
         for t_next, h in zip(times[1:], steps):
-            try:
-                g_next = float(problem.d_upper(t_next))
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise EvaluationError(f"d_upper failed at t = {t_next}: {exc}") from exc
-            if not math.isfinite(g_next):
-                raise EvaluationError(f"d_upper returned a non-finite value at t = {t_next}")
+            g_next = _forcing(d_upper, t_next)
             phi = _update(phi, c, g_prev, g_next, *rows[h])
             g_prev = g_next
             yield phi
         if lo == 0:
             rows, step_method = {}, method
-        span = _CHUNK if new else 16 * _CHUNK
+        lo = hi
+
+
+def _uniform_step(points: np.ndarray) -> float | None:
+    """T/N if every step lies within _UNIFORM_SPREAD of it, else None."""
+    last = len(points) - 1
+    h = float(points[-1] - points[0]) / last
+    for lo in range(0, last, 1024):  # a slice at a time, so no O(N) temporary
+        if np.max(np.abs(np.diff(points[lo : lo + 1025]) - h)) > _UNIFORM_SPREAD * h:
+            return None
+    return h
+
+
+def _block_tables(system: DiffusiveSystem, method: str, h: float, weights: np.ndarray, rows: int):
+    """(fold, kernel, carry, decay): the tables that take ``rows`` steps of length h at once.
+
+    With phi the state before the run and f_i = g_i + theta g_{i-1} its
+    forcing sums, the folded values after steps 1..rows are
+    fold phi + kernel f, and the state after them is decay phi + f reversed
+    . carry.  fold_j = weights A^j, decay = A^rows, carry_l = c Q A^l, and
+    kernel is the lower-triangular Toeplitz matrix of kappa_l = weights . carry_l.
+    """
+    [(amp, _, gain)] = _coefficients(_exponentials(system), method, [h])
+    # both tables are running products down their rows, formed in place: an
+    # operand broadcast over a table would cost numpy a temporary of its size
+    fold, carry = np.empty((rows, len(amp))), np.empty((rows, len(amp)))
+    fold[:], carry[:] = amp, amp
+    fold[0] *= weights
+    carry[0] = system.c * gain
+    np.multiply.accumulate(fold, axis=0, out=fold)
+    np.multiply.accumulate(carry, axis=0, out=carry)
+    lag = np.subtract.outer(np.arange(rows), np.arange(rows))
+    kernel = np.where(lag >= 0, (carry @ weights)[lag], 0.0)
+    return fold, kernel, carry, amp**rows
+
+
+def _blocks(problem, system, points, method, weights, h):
+    """iter_solution's folded values on a grid of steps h: the first step
+    alone, as in _stepwise, then _BLOCK steps per pass."""
+    d_upper, last = problem.d_upper, len(points) - 1
+    phi = np.zeros(len(system.exponents))
+    yield weights.dot(phi)
+    g_prev = _forcing(d_upper, float(points[1]))
+    phi = advance(phi, system, BACKWARD_EULER, float(points[1] - points[0]), 0.0, g_prev)
+    yield weights.dot(phi)
+    rows = min(_BLOCK, last - 1)
+    if rows == 0:
+        return
+    fold, kernel, carry, decay = _block_tables(system, method, h, weights, rows)
+    trapezoidal = method == TRAPEZOIDAL
+    lo = 1
+    while lo < last:
+        hi = min(lo + rows, last)
+        g = [g_prev]
+        g += [_forcing(d_upper, t) for t in points[lo + 1 : hi + 1].tolist()]
+        g_prev, g, n = g[-1], np.array(g), hi - lo
+        f = g[1:] + g[:-1] if trapezoidal else g[1:]
+        values = (fold[:n].dot(phi) + kernel[:n, :n].dot(f)).tolist()
+        if hi < last:
+            phi = decay * phi + f[::-1].dot(carry)
+        yield from values
         lo = hi
 
 
@@ -210,9 +314,8 @@ def evaluate_derivative(
     coef = quadrature_coefficients(rule)
     q = problem.fractional_part
     # state_combination's per-node fold, taken into the weights: one dot per point
-    weights = np.concatenate((coef / q, coef / (1.0 - q)))
-    out = np.empty(len(grid.points))
-    for n, phi in enumerate(iter_solution(problem, rule, grid, method=method)):
-        out[n] = weights.dot(phi)
-    out[0] = 0.0
-    return out
+    fold = np.concatenate((coef / q, coef / (1.0 - q)))
+    # method and weights by keyword: perfbench/tracing.py reads a second
+    # positional argument as K*
+    values = iter_solution(problem, rule, grid, method=method, weights=fold)
+    return np.fromiter(values, float, len(grid.points))

@@ -44,27 +44,35 @@ def test_tracer_installs_on_every_layer_and_uninstalls_cleanly():
 
 def test_traced_run_counts_one_forcing_call_per_step():
     # the stepper must still run through iter_solution and call d_upper once
-    # per step, or the tracer's stepping and forcing numbers stop meaning much
+    # per step, or the tracer's stepping and forcing numbers stop meaning much;
+    # a uniform grid of several blocks and a partial one, and a graded grid
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer, diffcap)
     rule = diffcap.gauss_laguerre_rule(6)
-    grid = diffcap.uniform_grid(0.0, 1.0, 16)
+    block = diffcap.steppers._BLOCK
+    grids = {
+        "uniform": diffcap.uniform_grid(0.0, 1.0, 16),
+        "blocks": diffcap.uniform_grid(0.0, 1.0, 2 * block + 5),
+        "graded": diffcap.graded_grid(0.0, 1.0, 2 * block + 5),
+    }
+    runs = [(method, label) for method in diffcap.METHODS for label in grids]
     try:
-        for method in diffcap.METHODS:
-            tracer.request = method
+        for method, label in runs:
+            tracer.request = f"{method} {label}"
             tracer.begin("bench.request")
             problem = diffcap.oracle.make_problem("pow2", 0.5)
-            diffcap.steppers.evaluate_derivative(problem, rule, grid, method=method)
+            diffcap.steppers.evaluate_derivative(problem, rule, grids[label], method=method)
             tracer.end()
             tracer.request = None
     finally:
         tracing.uninstall(saved)
-    for method in diffcap.METHODS:
-        metrics, _ = tracing.layer_metrics(tracer, {method: {"ok": True, "points": 16}})
-        assert metrics["steppers.forcing_calls_per_step"] == 1.0, method
-        steps = [s for s in tracer.spans if s.name == "steppers.step" and s.request == method]
-        assert [s.attrs for s in steps] == [{"N": grid.n_steps, "K": 6, "steps": 16}], method
+    for method, label in runs:
+        request, grid = f"{method} {label}", grids[label]
+        metrics, _ = tracing.layer_metrics(tracer, {request: {"ok": True, "points": grid.n_steps}})
+        assert metrics["steppers.forcing_calls_per_step"] == 1.0, request
+        steps = [s for s in tracer.spans if s.name == "steppers.step" and s.request == request]
+        assert [s.attrs for s in steps] == [{"N": grid.n_steps, "K": 6, "steps": grid.n_steps}], request
 
 
 def test_traced_oracles_count_their_quadratures():

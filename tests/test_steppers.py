@@ -30,7 +30,8 @@ from diffcap import (
     truncate_rule,
     uniform_grid,
 )
-from diffcap.steppers import _CHUNK, quadrature_coefficients, state_combination
+from diffcap.oracle import corpus_names
+from diffcap.steppers import _BLOCK, _CHUNK, quadrature_coefficients, state_combination
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -353,6 +354,15 @@ def test_non_finite_forcing_reports_offending_time():
     )
     with pytest.raises(EvaluationError, match="0.75"):
         evaluate_derivative(problem, gauss_laguerre_rule(3), uniform_grid(0.0, 1.0, 4))
+    # the first nan falls in the second block of a uniform grid
+    grid = uniform_grid(0.0, 1.0, 2 * _BLOCK + 1)
+    bad = float(grid.points[_BLOCK + 8])
+    problem = DerivativeProblem(
+        alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: math.nan if t >= bad else 0.0
+    )
+    for method in METHODS:
+        with pytest.raises(EvaluationError, match=re.escape(f"t = {bad}")):
+            evaluate_derivative(problem, gauss_laguerre_rule(3), grid, method=method)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +415,7 @@ def test_grid_endpoint_check_scales_with_the_interval():
 @given(
     a=st.floats(min_value=-10.0, max_value=10.0),
     T=st.floats(min_value=1e-3, max_value=20.0),
-    n_steps=st.integers(min_value=1, max_value=12),
+    n_steps=st.integers(min_value=1, max_value=80),
     method=st.sampled_from([BACKWARD_EULER, TRAPEZOIDAL]),
     graded=st.booleans(),
 )
@@ -491,9 +501,74 @@ def test_evaluate_derivative_matches_the_state_combination_fold(method):
     rule = gauss_laguerre_rule(64)
     grid = graded_grid(-3.7, 2.3, 17, 2.0)
     values = evaluate_derivative(problem, rule, grid, method=method)
+    folded = _per_step_fold(problem, rule, grid, method)
+    assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("graded", [False, True])
+def test_evaluate_derivative_heap_is_linear_in_k_and_independent_of_n(method, graded):
+    # the block tables of a uniform grid (two of _BLOCK x 2K doubles, one of
+    # _BLOCK^2) fit the stepping bound; the N + 1 values returned do not count
+    k = 64
+    bound = 96 * (2 * k * 8) + 32 * 1024
+    problem = make_problem("pow2", 0.5)
+    rule = gauss_laguerre_rule(k)
+    for n_steps in (2_000, 20_000):
+        grid = graded_grid(0.0, 1.0, n_steps, 2.0) if graded else uniform_grid(0.0, 1.0, n_steps)
+        tracemalloc.start()
+        try:
+            evaluate_derivative(problem, rule, grid, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * (n_steps + 1) < bound, (n_steps, peak)
+
+
+def _per_step_fold(problem, rule, grid, method):
     coef = quadrature_coefficients(rule)
     q = problem.fractional_part
     phis = iter_solution(problem, rule, grid, method=method)
-    folded = [coef @ state_combination(q, phi) for phi in phis]
+    folded = np.array([coef @ state_combination(q, phi) for phi in phis])
     folded[0] = 0.0
-    assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(values))
+    return folded
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("alpha", [0.4, 1.5, 2.6])
+@pytest.mark.parametrize("name", corpus_names())
+def test_block_values_match_the_per_step_fold(name, alpha, method):
+    # uniform grids take the block path after the first step; partial and
+    # single blocks, one block and one step over, and a long run
+    for a, T in ((0.0, 1.0), (-3.7, 2.3), (0.5, 40.0)):
+        problem = make_problem(name, alpha, a=a, T=T)
+        for k in (6, 64):
+            rule = gauss_laguerre_rule(k)
+            for n_steps in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1000):
+                grid = uniform_grid(a, T, n_steps)
+                values = evaluate_derivative(problem, rule, grid, method=method)
+                folded = _per_step_fold(problem, rule, grid, method)
+                scale = np.max(np.abs(folded))
+                assert values.shape == folded.shape
+                assert values[0] == 0.0
+                assert np.max(np.abs(values - folded)) <= 1e-12 * scale, (a, T, k, n_steps)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_grid_far_from_zero_folds_each_step(method):
+    # steps spread by 7e-8 of T/N: a nominal h would move the values by 1e-9
+    problem = make_problem("pow2", 0.5, a=1e6, T=1.0)
+    rule = gauss_laguerre_rule(12)
+    grid = uniform_grid(1e6, 1.0, 1000)
+    values = evaluate_derivative(problem, rule, grid, method=method)
+    folded = _per_step_fold(problem, rule, grid, method)
+    assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(folded))
+
+
+@pytest.mark.parametrize(
+    "weights", [np.ones(11), np.ones((2, 6)), np.r_[np.ones(11), np.nan], np.r_[np.ones(11), np.inf], "abc"]
+)
+def test_iter_solution_rejects_weights_that_are_not_2k_finite_numbers(weights):
+    problem = make_problem("pow2", 0.5)
+    with pytest.raises(InvalidParameterError, match="weights"):
+        list(iter_solution(problem, gauss_laguerre_rule(6), uniform_grid(0.0, 1.0, 4), weights=weights))
