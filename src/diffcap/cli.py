@@ -17,30 +17,20 @@ import math
 import re
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .analysis import DECOMPOSE_TOL_MAX, decompose_error, fit_rate
-from .diffusive import (
-    DerivativeProblem,
-    TimeGrid,
-    build_system,
-    fractional_part,
-    graded_grid,
-    stiffness_report,
-    uniform_grid,
-)
-from .errors import (
-    EvaluationError,
-    InsufficientDataError,
-    InvalidParameterError,
-    OracleError,
-)
-from .oracle import TOL_MAX, TOL_MIN, brute_force_caputo, corpus_function, corpus_names, make_problem
-from .quadrature import MAX_NODES, QuadratureRule, gauss_laguerre_rule, truncate_rule
-from .steppers import METHODS, evaluate_derivative
+from .diffusive import (DerivativeProblem, TimeGrid, build_system, fractional_part, graded_grid,
+                        stiffness_report, uniform_grid)
+from .errors import EvaluationError, InsufficientDataError, InvalidParameterError, OracleError
+from .oracle import TOL_MAX, _validate_tol, brute_force_caputo, corpus_function, make_problem
+from .quadrature import QuadratureRule, _check_count, gauss_laguerre_rule, truncate_rule
+from .steppers import BACKWARD_EULER, METHODS, evaluate_derivative
 
 COMMANDS = ("derivative", "decompose", "convergence", "nodes", "stiffness")
 
@@ -56,19 +46,16 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A parsed config as library objects: one (rule, grid) pair per scheme run,
+    one run per entry of ``resolutions`` in a convergence sweep."""
+
     command: str
-    alpha: float | None = None
-    a: float | None = None
-    T: float | None = None
-    n_steps: int | None = None
-    n_list: tuple[int, ...] | None = None
-    k: int | None = None
-    k_list: tuple[int, ...] | None = None
-    k_star: int | None = None
-    method: str = "backward-euler"
-    grid_kind: str = "uniform"
-    grid_exponent: float = 1.0
-    function: str | None = None
+    problem: DerivativeProblem | None = None
+    exact: Callable[[float], float] | None = None
+    rules: tuple[QuadratureRule, ...] = ()
+    grids: tuple[TimeGrid, ...] = ()
+    resolutions: tuple[int, ...] = ()
+    method: str = BACKWARD_EULER
     truth_tol: float = 1e-9
     output: str | None = None
 
@@ -142,8 +129,40 @@ def _as_int_list(pairs: dict[str, str], key: str) -> tuple[int, ...]:
     return values
 
 
+#: how each numeric key's text becomes its value
+_NUMBERS = dict(
+    alpha=_as_float, a=_as_float, T=_as_float, truth_tol=_as_float, N=_as_int, K=_as_int,
+    K_star=_as_int, N_list=_as_int_list, K_list=_as_int_list,
+)
+
+
+@contextmanager
+def _building(key: str):
+    """Turn the library's rejection of ``key``'s value into a ConfigError that names
+    the key.  Overflow is left to the run's finiteness checks, as in :func:`run`."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _grading_exponent(value: str) -> float | None:
+    """The exponent x of ``graded(x)``, or None for ``uniform``."""
+    if value == "uniform":
+        return None
+    match = re.fullmatch(r"graded\(([^)]+)\)", value)
+    if not match:
+        raise ConfigError(f"grid: expected 'uniform' or 'graded(exponent)', got {value!r}")
+    try:
+        return float(match.group(1))
+    except ValueError:
+        raise ConfigError(f"grid: bad grading exponent in {value!r}") from None
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config; every violation is a :class:`ConfigError`."""
+    """Parse a config and build its problem, rules and grids through the library,
+    which checks every value; each violation is a ConfigError naming its key."""
     pairs = _parse_lines(text)
     if "command" not in pairs:
         raise ConfigError("missing required key 'command'")
@@ -158,107 +177,70 @@ def parse_config(text: str) -> RunConfig:
     if missing:
         raise ConfigError(f"command {command!r} is missing keys: {sorted(missing)}")
 
-    config = RunConfig(command=command)
-    if "alpha" in pairs:
-        config.alpha = _as_float(pairs, "alpha")
-        try:
-            fractional_part(config.alpha)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"alpha: {exc}") from None
-    if "a" in pairs:
-        config.a = _as_float(pairs, "a")
-    if "T" in pairs:
-        config.T = _as_float(pairs, "T")
-        if config.T <= 0.0:
-            raise ConfigError(f"T: must be positive, got {config.T}")
-    if "N" in pairs:
-        config.n_steps = _as_int(pairs, "N")
-        if config.n_steps < 1:
-            raise ConfigError(f"N: must be at least 1, got {config.n_steps}")
-    if "N_list" in pairs:
-        config.n_list = _as_int_list(pairs, "N_list")
-        if config.n_list[0] < 1:
-            raise ConfigError("N_list: entries must be at least 1")
-    if "K" in pairs:
-        config.k = _as_int(pairs, "K")
-        if not 1 <= config.k <= MAX_NODES:
-            raise ConfigError(f"K: must lie in [1, {MAX_NODES}], got {config.k}")
-    if "K_list" in pairs:
-        config.k_list = _as_int_list(pairs, "K_list")
-        if config.k_list[0] < 1 or config.k_list[-1] > MAX_NODES:
-            raise ConfigError(f"K_list: entries must lie in [1, {MAX_NODES}]")
-    if "K_star" in pairs:
-        config.k_star = _as_int(pairs, "K_star")
-        if config.k is None:
-            raise ConfigError("K_star requires an explicit K")
-        if not 1 <= config.k_star <= config.k:
-            raise ConfigError(f"K_star: must lie in [1, K], got {config.k_star}")
-    if "method" in pairs:
-        config.method = pairs["method"]
-        if config.method not in METHODS:
-            raise ConfigError(f"method: expected one of {METHODS}, got {config.method!r}")
-    if "grid" in pairs:
-        value = pairs["grid"]
-        if value == "uniform":
-            config.grid_kind = "uniform"
-        else:
-            match = re.fullmatch(r"graded\(([^)]+)\)", value)
-            if not match:
-                raise ConfigError(f"grid: expected 'uniform' or 'graded(exponent)', got {value!r}")
-            try:
-                config.grid_exponent = float(match.group(1))
-            except ValueError:
-                raise ConfigError(f"grid: bad grading exponent in {value!r}") from None
-            if not math.isfinite(config.grid_exponent):
-                raise ConfigError(f"grid: grading exponent must be finite, got {value!r}")
-            if config.grid_exponent <= 0.0:
-                raise ConfigError("grid: grading exponent must be positive")
-            config.grid_kind = "graded"
-    if "function" in pairs:
-        config.function = pairs["function"]
-        if config.function not in corpus_names():
-            raise ConfigError(
-                f"function: unknown corpus name {config.function!r}; known: {corpus_names()}"
-            )
-    if "truth_tol" in pairs:
-        config.truth_tol = _as_float(pairs, "truth_tol")
-        if not TOL_MIN <= config.truth_tol <= TOL_MAX:
-            raise ConfigError(f"truth_tol: must lie in [{TOL_MIN}, {TOL_MAX}]")
-        if command == "decompose" and config.truth_tol > DECOMPOSE_TOL_MAX:
-            raise ConfigError("truth_tol: decompose requires truth_tol <= 1e-8")
-    if "output" in pairs:
-        config.output = pairs["output"]
+    v = {key: parse(pairs, key) for key, parse in _NUMBERS.items() if key in pairs}
+    if "K_star" in v and "K" not in v:
+        raise ConfigError("K_star requires an explicit K")
     if command == "convergence":
-        if (config.n_list is None) == (config.k_list is None):
+        if ("N_list" in v) == ("K_list" in v):
             raise ConfigError("convergence: give exactly one of N_list or K_list")
-        if config.n_list is not None:
-            if config.k is None:
-                raise ConfigError("convergence: K is required with N_list")
-            if config.n_steps is not None:
-                raise ConfigError("convergence: N conflicts with N_list")
-        else:
-            if config.n_steps is None:
-                raise ConfigError("convergence: N is required with K_list")
-            if config.k is not None:
-                raise ConfigError("convergence: K conflicts with K_list")
+        sweep, needed, conflicting = ("N_list", "K", "N") if "N_list" in v else ("K_list", "N", "K")
+        if needed not in v:
+            raise ConfigError(f"convergence: {needed} is required with {sweep}")
+        if conflicting in v:
+            raise ConfigError(f"convergence: {conflicting} conflicts with {sweep}")
+    method = pairs.get("method", BACKWARD_EULER)
+    if method not in METHODS:
+        raise ConfigError(f"method: expected one of {METHODS}, got {method!r}")
+    exponent = _grading_exponent(pairs.get("grid", "uniform"))
+    config = RunConfig(command, method=method, output=pairs.get("output"))
+
+    # where one build takes several keys, the key it would misname is checked first
+    if "alpha" in v:
+        with _building("alpha"):
+            fractional_part(v["alpha"])
+    if command == "stiffness":
+        config.problem = DerivativeProblem(v["alpha"], 0.0, 1.0, d_upper=lambda t: 0.0)
+    if "function" in pairs:
+        args = (pairs["function"], v["alpha"], v["a"], v["T"])
+        with _building("function"):
+            config.exact = corpus_function(*args).exact_caputo
+        with _building("T"):
+            config.problem = make_problem(*args)
+
+    if "K_list" in v:
+        config.resolutions = v["K_list"]
+        with _building("K_list"):
+            config.rules = tuple(gauss_laguerre_rule(k) for k in v["K_list"])
+    else:
+        with _building("K"):
+            config.rules = (gauss_laguerre_rule(v["K"]),)
+    if "K_star" in v:
+        with _building("K_star"):
+            config.rules = (truncate_rule(config.rules[0], v["K_star"]),)
+
+    if "N_list" in v:
+        config.resolutions = v["N_list"]
+        with _building("N_list"):
+            config.grids = tuple(uniform_grid(v["a"], v["T"], n) for n in v["N_list"])
+        config.rules *= len(config.grids)
+    elif exponent is not None:
+        with _building("N"):
+            _check_count(v["N"], "step count")
+        with _building("grid"):
+            config.grids = (graded_grid(v["a"], v["T"], v["N"], exponent),)
+    elif "N" in v:
+        with _building("N"):
+            config.grids = (uniform_grid(v["a"], v["T"], v["N"]),) * len(config.rules)
+
+    if "truth_tol" in v:
+        upper = DECOMPOSE_TOL_MAX if command == "decompose" else TOL_MAX
+        with _building("truth_tol"):
+            config.truth_tol = _validate_tol(v["truth_tol"], upper)
     return config
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _rule_for(config: RunConfig, k: int):
-    rule = gauss_laguerre_rule(k)
-    if config.k_star is not None:
-        rule = truncate_rule(rule, config.k_star)
-    return rule
-
-
-def _grid_for(config: RunConfig) -> TimeGrid:
-    if config.grid_kind == "graded":
-        return graded_grid(config.a, config.T, config.n_steps, config.grid_exponent)
-    return uniform_grid(config.a, config.T, config.n_steps)
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -267,7 +249,7 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 
 
 def _run_nodes(config: RunConfig) -> list[str]:
-    rule = _rule_for(config, config.k)
+    [rule] = config.rules
     lines = ["k,node,weight"]
     for k, (node, weight) in enumerate(zip(rule.nodes, rule.weights), start=1):
         lines.append(f"{k},{_fmt(node)},{_fmt(weight)}")
@@ -275,18 +257,15 @@ def _run_nodes(config: RunConfig) -> list[str]:
 
 
 def _run_stiffness(config: RunConfig) -> list[str]:
-    problem = DerivativeProblem(alpha=config.alpha, a=0.0, T=1.0, d_upper=lambda t: 0.0)
     lines = ["k,w,log10_lipschitz"]
-    for row in stiffness_report(build_system(problem, _rule_for(config, config.k))):
+    for row in stiffness_report(build_system(config.problem, config.rules[0])):
         lines.append(f"{row.k},{_fmt(row.w)},{_fmt(row.log10_lipschitz)}")
     return lines
 
 
 def _run_derivative(config: RunConfig) -> list[str]:
-    problem = make_problem(config.function, config.alpha, a=config.a, T=config.T)
-    exact = corpus_function(config.function, config.alpha, a=config.a, T=config.T).exact_caputo
-    grid = _grid_for(config)
-    values = evaluate_derivative(problem, _rule_for(config, config.k), grid, method=config.method)
+    [rule], [grid], exact = config.rules, config.grids, config.exact
+    values = evaluate_derivative(config.problem, rule, grid, method=config.method)
     _check_finite(values, "derivative values")
     lines = ["n,t,value,exact_if_known,abs_err_if_known"]
     # Python floats format faster than numpy scalars and repr the same
@@ -300,10 +279,9 @@ def _run_derivative(config: RunConfig) -> list[str]:
 
 
 def _run_decompose(config: RunConfig) -> list[str]:
-    problem = make_problem(config.function, config.alpha, a=config.a, T=config.T)
-    grid = _grid_for(config)
-    rule = _rule_for(config, config.k)
-    rows = decompose_error(problem, rule, grid, method=config.method, truth_tol=config.truth_tol)
+    [rule], [grid] = config.rules, config.grids
+    rows = decompose_error(config.problem, rule, grid, method=config.method,
+                           truth_tol=config.truth_tol)
     lines = ["n,t,r_total,r_q,r_ode"]
     for row, t in zip(rows, grid.points):
         _check_finite(np.array([row.r_total, row.r_q, row.r_ode]), "error components")
@@ -311,28 +289,17 @@ def _run_decompose(config: RunConfig) -> list[str]:
     return lines
 
 
-def _max_error(config: RunConfig, n_steps: int, rule: QuadratureRule) -> float:
-    problem = make_problem(config.function, config.alpha, a=config.a, T=config.T)
-    exact = corpus_function(config.function, config.alpha, a=config.a, T=config.T).exact_caputo
-    grid = uniform_grid(config.a, config.T, n_steps)
-    values = evaluate_derivative(problem, rule, grid, method=config.method)
+def _max_error(config: RunConfig, rule: QuadratureRule, grid: TimeGrid) -> float:
+    values = evaluate_derivative(config.problem, rule, grid, method=config.method)
     _check_finite(values, "derivative values")
-    if exact is not None:
-        truths = np.array([exact(float(t)) for t in grid.points])
-    else:
-        truths = np.array([brute_force_caputo(problem, float(t), config.truth_tol)
-                           for t in grid.points])
+    truth = config.exact or (lambda t: brute_force_caputo(config.problem, t, config.truth_tol))
+    truths = np.array([truth(float(t)) for t in grid.points])
     return float(np.max(np.abs(values - truths)))
 
 
 def _run_convergence(config: RunConfig) -> list[str]:
-    if config.n_list is not None:
-        resolutions = config.n_list
-        rule = _rule_for(config, config.k)
-        errs = [_max_error(config, n, rule) for n in resolutions]
-    else:
-        resolutions = config.k_list
-        errs = [_max_error(config, config.n_steps, _rule_for(config, k)) for k in resolutions]
+    resolutions = config.resolutions
+    errs = [_max_error(config, rule, grid) for rule, grid in zip(config.rules, config.grids)]
     # a closed form that is infinite at t = a makes the max error infinite
     _check_finite(np.array(errs), "max errors")
     lines = ["resolution,max_err"]
@@ -369,13 +336,13 @@ def run(config: RunConfig) -> int:
         # overflow shows up as a non-finite value, which every runner reports
         with np.errstate(over="ignore", invalid="ignore"):
             lines = _RUNNERS[config.command](config)
-    except (EvaluationError,) as exc:
+    except EvaluationError as exc:
         print(f"diffcap: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OracleError as exc:
         print(f"diffcap: oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (InvalidParameterError, InsufficientDataError, ConfigError) as exc:
+    except (InvalidParameterError, InsufficientDataError) as exc:
         print(f"diffcap: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     text = "\n".join(lines) + "\n"
@@ -392,35 +359,23 @@ def run(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="diffcap",
-        description="Fractional-derivative experiments driven by key = value configs.",
-    )
+        prog="diffcap", description="Fractional-derivative experiments driven by key = value configs.")
     parser.add_argument(
-        "target",
-        help="config file path ('-' for stdin), or one of: " + ", ".join(COMMANDS),
-    )
-    parser.add_argument(
-        "settings",
-        nargs="*",
-        metavar="key=value",
-        help="config entries when the first argument is a command name",
-    )
+        "target", help="config file path ('-' for stdin), or one of: " + ", ".join(COMMANDS))
+    parser.add_argument("settings", nargs="*", metavar="key=value",
+                        help="config entries when the first argument is a command name")
     args = parser.parse_args(argv)
-    if args.target in COMMANDS:
-        text = "\n".join([f"command = {args.target}", *args.settings])
-    elif args.target == "-":
-        text = sys.stdin.read()
-    else:
-        if args.settings:
-            print("diffcap: config error: key=value settings only follow a command name",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            text = Path(args.target).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"diffcap: config error: cannot read {args.target!r}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     try:
+        if args.target in COMMANDS:
+            text = "\n".join([f"command = {args.target}", *args.settings])
+        elif args.settings:
+            raise ConfigError("key=value settings only follow a command name")
+        else:
+            try:
+                text = (sys.stdin.read() if args.target == "-"
+                        else Path(args.target).read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read {args.target!r}: {exc}") from None
         config = parse_config(text)
     except ConfigError as exc:
         print(f"diffcap: config error: {exc}", file=sys.stderr)

@@ -176,6 +176,6 @@ def graded_grid(a: float, T: float, n_steps: int, exponent: float = 2.0) -> Time
     """Graded grid t_n = a + T (n / N)^exponent, clustered toward a for exponent > 1."""
     n_steps = _check_count(n_steps, "step count")
     if not (math.isfinite(exponent) and exponent > 0.0):
-        raise InvalidParameterError(f"grading exponent must be positive, got {exponent}")
+        raise InvalidParameterError(f"grading exponent must be positive and finite, got {exponent}")
     frac = np.arange(n_steps + 1, dtype=float) / n_steps
     return TimeGrid(a + T * frac**exponent)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusive import DerivativeProblem
+from .diffusive import DerivativeProblem, _validate_order
 from .errors import InvalidParameterError, OracleError, UnsupportedOperationError
 
 TOL_MIN = 1e-14
@@ -295,7 +295,7 @@ def _scaled_power(c: float, x: float, e: float) -> float:
 
 def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> TestFunction:
     """Build the corpus entry ``name`` for order ``alpha`` on [a, a + T]."""
-    m = math.ceil(alpha)
+    m = math.ceil(_validate_order(alpha))
     if name in _POWER_EXPONENTS:
         p = _POWER_EXPONENTS[name]
         d_upper, coeff_m = _power_derivative(p, m, a)

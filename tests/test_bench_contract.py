@@ -3,7 +3,9 @@ by name, so every name it rebinds must exist, and uninstalling must restore
 each module exactly.  A name that only the tracer reads (an import kept for it)
 would otherwise vanish unnoticed and break every traced benchmark run."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import diffcap
@@ -97,3 +99,28 @@ def test_traced_oracles_count_their_quadratures():
         if counter == "oracle.quad_calls":
             quads[request] += n
     assert all(n >= 1 for n in quads.values()), quads
+
+
+def test_traced_cli_run_counts_one_forcing_call_per_step():
+    # the CLI must build its problem through the make_problem the tracer
+    # rebinds in diffcap.cli, or its forcing calls go uncounted
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer, diffcap)
+    argv = ["derivative", "alpha=0.6", "a=0", "T=1", "N=40", "K=8", "function=sin",
+            "grid=graded(2)"]
+    stdout = io.StringIO()
+    try:
+        tracer.request = "cli"
+        tracer.begin("bench.request")
+        with contextlib.redirect_stdout(stdout):
+            assert diffcap.cli.main(argv) == 0
+        tracer.end()
+        tracer.request = None
+    finally:
+        tracing.uninstall(saved)
+    assert len(stdout.getvalue().splitlines()) == 42
+    metrics, _ = tracing.layer_metrics(tracer, {"cli": {"ok": True, "points": 40}})
+    assert metrics["steppers.forcing_calls_per_step"] == 1.0
+    steps = [s for s in tracer.spans if s.name == "steppers.step"]
+    assert [s.attrs for s in steps] == [{"N": 40, "K": 8, "steps": 40}]

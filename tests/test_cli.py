@@ -34,12 +34,12 @@ from diffcap.quadrature import gauss_laguerre_rule
 def test_parse_minimal_nodes_config():
     config = parse_config("command = nodes\nK = 2")
     assert config.command == "nodes"
-    assert config.k == 2
+    assert [rule.npoints for rule in config.rules] == [2]
 
 
 def test_parse_supports_comments_and_blank_lines():
     config = parse_config("# a comment\n\ncommand = nodes\nK = 3\n")
-    assert config.k == 3
+    assert config.rules[0].npoints == 3
 
 
 def test_parse_rejects_integer_order():
@@ -109,8 +109,8 @@ def test_parse_graded_grid():
         "command = derivative\nalpha = 0.5\na = 0\nT = 1\nN = 4\nK = 4\n"
         "function = pow2\ngrid = graded(2.0)"
     )
-    assert config.grid_kind == "graded"
-    assert config.grid_exponent == 2.0
+    assert len(config.grids) == 1
+    assert config.grids[0].points.tolist() == graded_grid(0, 1, 4, 2.0).points.tolist()
 
 
 def test_parse_convergence_requires_exactly_one_sweep():
@@ -122,14 +122,17 @@ def test_parse_convergence_requires_exactly_one_sweep():
     with pytest.raises(ConfigError, match="conflicts"):
         parse_config(base + "N_list = 4,8\nN = 4")
     config = parse_config(base + "N_list = 4,8,16")
-    assert config.n_list == (4, 8, 16)
+    assert config.resolutions == (4, 8, 16)
+    assert [grid.n_steps for grid in config.grids] == [4, 8, 16]
+    assert [rule.npoints for rule in config.rules] == [4, 4, 4]
 
 
 def test_parse_convergence_node_sweep():
     base = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow1\n"
     config = parse_config(base + "K_list = 2,4,8\nN = 50")
-    assert config.k_list == (2, 4, 8)
-    assert config.k is None
+    assert config.resolutions == (2, 4, 8)
+    assert [rule.npoints for rule in config.rules] == [2, 4, 8]
+    assert [grid.n_steps for grid in config.grids] == [50, 50, 50]
     with pytest.raises(ConfigError, match="N is required"):
         parse_config(base + "K_list = 2,4,8")
     with pytest.raises(ConfigError, match="conflicts"):
@@ -183,35 +186,61 @@ _CONVERGENCE = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow
 @pytest.mark.parametrize(
     "text, message",
     [
-        (_CONVERGENCE + "K = 4\nN_list = 0,4", "N_list: entries must be at least 1"),
-        (_CONVERGENCE + "N = 10\nK_list = 0,4", "K_list: entries must lie in [1, 256]"),
-        (_CONVERGENCE + "N = 10\nK_list = 2,300", "K_list: entries must lie in [1, 256]"),
-        (_DECOMPOSE + "truth_tol = 1e-3", "truth_tol: must lie in [1e-14, 1e-06]"),
-        (_DECOMPOSE + "truth_tol = 1e-20", "truth_tol: must lie in [1e-14, 1e-06]"),
-        (_DECOMPOSE + "truth_tol = 1e-7", "truth_tol: decompose requires truth_tol <= 1e-8"),
+        (
+            _CONVERGENCE + "K = 4\nN_list = 0,4",
+            "N_list: step count must be an integer in [1, inf], got 0",
+        ),
+        (
+            _CONVERGENCE + "N = 10\nK_list = 0,4",
+            "K_list: node count must be an integer in [1, 256], got 0",
+        ),
+        (
+            _CONVERGENCE + "N = 10\nK_list = 2,300",
+            "K_list: node count must be an integer in [1, 256], got 300",
+        ),
+        (_DECOMPOSE + "truth_tol = 1e-3", "truth_tol: tolerance must lie in [1e-14, 1e-08], got 0.001"),
+        (_DECOMPOSE + "truth_tol = 1e-20", "truth_tol: tolerance must lie in [1e-14, 1e-08], got 1e-20"),
+        (_DECOMPOSE + "truth_tol = 1e-7", "truth_tol: tolerance must lie in [1e-14, 1e-08], got 1e-07"),
+        (
+            _CONVERGENCE + "K = 4\nN_list = 4,8,16\ntruth_tol = 1e-3",
+            "truth_tol: tolerance must lie in [1e-14, 1e-06], got 0.001",
+        ),
         (
             _DERIVATIVE + "truth_tol = 1e-9",
             "key 'truth_tol' is not used by command 'derivative'",
         ),
         (_DERIVATIVE + "grid = graded(x)", "grid: bad grading exponent in 'graded(x)'"),
-        (_DERIVATIVE + "grid = graded(-1)", "grid: grading exponent must be positive"),
-        (_DERIVATIVE + "grid = graded(0)", "grid: grading exponent must be positive"),
+        (
+            _DERIVATIVE + "grid = graded(-1)",
+            "grid: grading exponent must be positive and finite, got -1.0",
+        ),
+        (
+            _DERIVATIVE + "grid = graded(0)",
+            "grid: grading exponent must be positive and finite, got 0.0",
+        ),
         (
             _DERIVATIVE + "grid = graded(nan)",
-            "grid: grading exponent must be finite, got 'graded(nan)'",
+            "grid: grading exponent must be positive and finite, got nan",
         ),
         (
             _DERIVATIVE + "grid = graded(inf)",
-            "grid: grading exponent must be finite, got 'graded(inf)'",
+            "grid: grading exponent must be positive and finite, got inf",
         ),
         (
             _DERIVATIVE + "grid = graded(1e400)",
-            "grid: grading exponent must be finite, got 'graded(1e400)'",
+            "grid: grading exponent must be positive and finite, got inf",
+        ),
+        (
+            _DERIVATIVE.replace("N = 4", "N = 0") + "grid = graded(2)",
+            "N: step count must be an integer in [1, inf], got 0",
         ),
         ("command = nodes\nK =\n", "line 2: empty value for 'K'"),
         (_CONVERGENCE + "N = 50\nK_list = 2,4\nK_star = 2", "K_star requires an explicit K"),
-        (_DERIVATIVE.replace("T = 1\n", "T = -1\n"), "T: must be positive, got -1.0"),
-        (_DERIVATIVE.replace("N = 4", "N = 0"), "N: must be at least 1, got 0"),
+        (
+            _DERIVATIVE.replace("T = 1\n", "T = -1\n"),
+            "T: interval length must be positive, got -1.0",
+        ),
+        (_DERIVATIVE.replace("N = 4", "N = 0"), "N: step count must be an integer in [1, inf], got 0"),
         (_DERIVATIVE.replace("\na = 0\n", "\na = x\n"), "a: expected a number, got 'x'"),
         (_DERIVATIVE.replace("\na = 0\n", "\na = inf\n"), "a: must be finite, got 'inf'"),
         (
@@ -220,6 +249,23 @@ _CONVERGENCE = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow
         ),
         ("alpha = 0.5\nK = 4", "missing required key 'command'"),
         (_CONVERGENCE + "N_list = 4,8,16", "convergence: K is required with N_list"),
+        (
+            "command = nodes\nK = 4\nK_star = 5",
+            "K_star: truncation count must be an integer in [1, 4], got 5",
+        ),
+        (
+            _DERIVATIVE.replace("pow2", "pow7"),
+            "function: unknown corpus function 'pow7'; "
+            "known: ('pow1', 'pow2', 'pow3', 'pow2.5', 'exp', 'sin')",
+        ),
+        (
+            _DERIVATIVE.replace("alpha = 0.5", "alpha = 2.0"),
+            "alpha: integer orders are rejected (sin(alpha*pi) degenerates), got 2.0",
+        ),
+        (
+            _DERIVATIVE.replace("a = 0\nT = 1", "a = 1e308\nT = 1e308"),
+            "T: interval end a + T overflows, got a = 1e+308, T = 1e+308",
+        ),
     ],
 )
 def test_parse_error_messages(text, message):
@@ -293,7 +339,7 @@ def test_run_derivative_with_overflowing_forcing_is_numerical_failure(capsys):
         # the scheme's values overflow past the largest double
         ("1e300", "1e300", EXIT_NUMERICAL, "diffcap: numerical failure:"),
         # the interval end a + T itself overflows
-        ("1e308", "1e308", EXIT_CONFIG, "diffcap: config error: interval end a + T overflows"),
+        ("1e308", "1e308", EXIT_CONFIG, "diffcap: config error: T: interval end a + T overflows"),
     ],
 )
 def test_run_derivative_overflow_prints_one_line_and_no_numpy_warning(a, T, code, prefix, capsys):
@@ -432,6 +478,17 @@ def test_main_missing_file_is_config_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_main_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"command = nodes\nK = 2\n\xff\xfe\n")
+    assert main([str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"diffcap: config error: cannot read {str(path)!r}: ")
+    assert "can't decode byte 0xff" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_unwritable_output_is_config_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "x.csv"
     assert main(["nodes", "K=2", f"output={target}"]) == EXIT_CONFIG
@@ -515,10 +572,12 @@ def test_main_reads_config_from_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "k,node,weight\n1,1.0,1.0\n"
 
 
-def test_main_rejects_settings_after_a_config_file(tmp_path, capsys):
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_main_rejects_settings_after_a_config_file(stdin, tmp_path, monkeypatch, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("command = nodes\n", encoding="utf-8")
-    assert main([str(path), "K=1"]) == EXIT_CONFIG
+    monkeypatch.setattr("sys.stdin", io.StringIO("command = nodes\n"))
+    assert main(["-" if stdin else str(path), "K=1"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

@@ -10,6 +10,7 @@ import pytest
 import diffcap
 from diffcap import (
     DerivativeProblem,
+    InvalidOrderError,
     InvalidParameterError,
     OracleError,
     UnsupportedOperationError,
@@ -270,6 +271,16 @@ def test_closed_forms_overflow_to_infinity():
 def test_unknown_corpus_name_rejected():
     with pytest.raises(InvalidParameterError):
         corpus_function("pow7", 0.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.0])
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_rejects_invalid_orders_as_order_errors(name, alpha):
+    # nan and +-inf used to fail in ceil(alpha), as ValueError and OverflowError
+    with pytest.raises(InvalidOrderError):
+        corpus_function(name, alpha)
+    with pytest.raises(InvalidOrderError):
+        make_problem(name, alpha)
 
 
 def test_make_problem_wires_the_interval():
