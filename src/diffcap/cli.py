@@ -371,10 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.settings:
             raise ConfigError("key=value settings only follow a command name")
         else:
-            try:
-                text = (sys.stdin.read() if args.target == "-"
-                        else Path(args.target).read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError) as exc:
+            try:  # stdin's undecodable bytes come as surrogates: restore and decode them
+                text = (sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
+                        if args.target == "-" else Path(args.target).read_text(encoding="utf-8"))
+            except (OSError, UnicodeError) as exc:
                 raise ConfigError(f"cannot read {args.target!r}: {exc}") from None
         config = parse_config(text)
     except ConfigError as exc:

@@ -167,8 +167,10 @@ class TimeGrid:
 def uniform_grid(a: float, T: float, n_steps: int) -> TimeGrid:
     """Uniform grid t_n = a + n h, h = T / n_steps."""
     n_steps = _check_count(n_steps, "step count")
-    points = a + (T / n_steps) * np.arange(n_steps + 1, dtype=float)
-    points[-1] = a + T
+    # (T / n) n may overflow before the end is set; TimeGrid rejects an end that does
+    with np.errstate(over="ignore"):
+        points = a + (T / n_steps) * np.arange(n_steps + 1, dtype=float)
+        points[-1] = a + T
     return TimeGrid(points)
 
 
@@ -178,4 +180,6 @@ def graded_grid(a: float, T: float, n_steps: int, exponent: float = 2.0) -> Time
     if not (math.isfinite(exponent) and exponent > 0.0):
         raise InvalidParameterError(f"grading exponent must be positive and finite, got {exponent}")
     frac = np.arange(n_steps + 1, dtype=float) / n_steps
-    return TimeGrid(a + T * frac**exponent)
+    with np.errstate(over="ignore"):  # TimeGrid rejects an end a + T that overflows
+        points = a + T * frac**exponent
+    return TimeGrid(points)

@@ -6,27 +6,31 @@ Each transformed node w carries the scalar linear ODE
 
 with g the caller-supplied upper derivative.  The equations are linear with
 constant coefficients, so the implicit backward-Euler and trapezoidal updates
-are solved exactly by division: both are phi_n = A phi_{n-1} + Q c (g_n +
-theta g_{n-1}), theta = 0 or 1.  |w| reaches several hundreds or more, so
-the coefficients take a form in which an overflowed exponential gives no nan.
+are solved exactly by division: both are phi_n = A phi_{n-1} + Q c f_n with
+the forcing sum f_n = g_n + theta g_{n-1}, theta = 0 or 1.  |w| reaches
+several hundreds or more, so the coefficients take a form in which an
+overflowed exponential gives no nan.
 
 The derivative itself is the weighted sum over nodes, assembled from
 ln a_k + x_k (the weights underflow and e^{x_k} overflows long before their
-product stops being moderate).  One pass over the grid, state of 2K numbers.
+product stops being moderate).
 
-With one step length h the recurrence has a closed form over m steps:
-phi_{n+j} = A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i, f_i = g_i + theta g_{i-1},
-so the folded values y_{n+j} = weights . phi_{n+j} of m steps are one
-(m x 2K) table times phi_n plus a lower-triangular Toeplitz kernel times the
-m forcing sums, and phi_{n+m} is A^m phi_n plus one more (m x 2K) product
-(the sum-of-exponentials block structure of Lubich & Schaedle, SIAM J. Sci.
-Comput. 24(1), 2002).  The folded stream takes that path on uniform grids.
+One loop walks the grid with a state of 2K numbers.  It takes the first
+step alone, then passes of several steps; each pass samples its forcing and
+forms its sums f_i once, and is of one of two kinds.  A per-step pass
+applies the update step by step.  A block pass serves the folded stream on
+a grid of one step length h, where the recurrence has a closed form over
+m steps: phi_{n+j} = A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i, so the folded
+values y_{n+j} = weights . phi_{n+j} of m steps are one (m x 2K) table
+times phi_n plus a lower-triangular Toeplitz kernel times the m forcing
+sums, and phi_{n+m} is A^m phi_n plus one more (m x 2K) product (the
+sum-of-exponentials block structure of Lubich & Schaedle, SIAM J. Sci.
+Comput. 24(1), 2002).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from operator import sub
 from typing import Iterator
 
@@ -66,7 +70,7 @@ def _exponentials(system: DiffusiveSystem):
 
 
 def _coefficients(exponentials, method: str, steps):
-    """(A, theta, Q) of each step of the given lengths, from B = 1 / (1 + s e^w).
+    """(A, Q) of each step of the given lengths, from B = 1 / (1 + s e^w).
 
     Backward Euler has s = h, A = B, theta = 0; the trapezoidal rule has
     s = h/2, A = 2B - 1, theta = 1.  Both have Q = s e^{wq} B, formed as
@@ -88,14 +92,14 @@ def _coefficients(exponentials, method: str, steps):
         else:
             amp = 1.0 - 2.0 * slow
         gain = s / (e_minus_qw + s * e_rest)
-    return list(zip(amp, repeat(theta), gain))
+    return list(zip(amp, gain))
 
 
-#: most step lengths whose coefficients iter_solution forms in one call, or keeps
+#: steps of one per-step pass, and most (A, Q) pairs iter_solution keeps
 _CHUNK = 16
-#: steps whose folded values one block computes on a uniform grid
+#: steps of one block pass, whose folded values come from closed-form tables
 _BLOCK = 32
-#: largest |step - T/N| / (T/N) of a grid that the block path steps as uniform
+#: largest |step - T/N| / (T/N) of a grid that block passes step as uniform
 _UNIFORM_SPREAD = 3e-11
 
 
@@ -114,11 +118,12 @@ def advance(
     """
     _check_method(method)
     [coefficients] = _coefficients(_exponentials(system), method, [h])
-    return _update(phi, system.c, g_prev, g_next, *coefficients)
+    f = g_next + g_prev if method == TRAPEZOIDAL else g_next
+    return _update(phi, system.c, f, *coefficients)
 
 
-def _update(phi, c, g_prev, g_next, amp, theta, gain):
-    return phi * amp + (c * (g_next + theta * g_prev)) * gain
+def _update(phi, c, f, amp, gain):
+    return phi * amp + (c * f) * gain
 
 
 def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
@@ -155,31 +160,69 @@ def iter_solution(
 
     The first array is the read-only zero state.  To run on the first K*
     nodes only, pass ``truncate_rule(rule, K*)``.  d_upper is called once per
-    grid time after a, in order; the first step is backward Euler whatever
-    the method (a Rannacher start), so no method reads d_upper(a) or keeps a
-    start-up error.
+    grid time after a, in order, each pass's times before that pass yields;
+    the first step is backward Euler whatever the method (a Rannacher
+    start), so no method reads d_upper(a) or keeps a start-up error.
 
     With ``weights`` (2K finite numbers, else InvalidParameterError) it
-    yields the float weights . phi instead, the first one included.  On a
-    grid whose every step lies within a relative 3e-11 of T/N, the values
-    after the first step come _BLOCK = 32 at a time from closed-form tables
-    built once per call for the nominal step T/N; any other grid folds each
-    array as it comes.  At most one array, or at most _BLOCK values and two
-    _BLOCK-row tables, is alive at a time, so a full sweep costs O(N K) time
-    and O(K) memory regardless of the grid length.
+    yields the float weights . phi instead, the first one included.
+
+    After the first step, which goes alone, the grid is walked in passes.
+    On the folded stream over a grid whose every step lies within a relative
+    3e-11 of T/N, a block pass gives _BLOCK = 32 values from closed-form
+    tables built once per call for the nominal step T/N.  Every other pass
+    takes _CHUNK = 16 steps one by one, with the (A, Q) of each exact step
+    length formed once and at most _CHUNK of them kept.  So at most one
+    pass's forcing and values, _CHUNK coefficient pairs or two _BLOCK-row
+    tables are alive at a time, and a full sweep costs O(N K) time and O(K)
+    memory regardless of the grid length.
     """
     _check_method(method)
     _check_grid(problem, grid)
     system = build_system(problem, rule)
     if weights is not None:
         weights = _check_weights(weights, len(system.exponents))
-    points = grid.points
-    if weights is None:
-        yield from _stepwise(problem, system, points, method)
-    elif (h := _uniform_step(points)) is None:
-        yield from map(weights.dot, _stepwise(problem, system, points, method))
-    else:
-        yield from _blocks(problem, system, points, method, weights, h)
+    points, last = grid.points, len(grid.points) - 1
+    nominal = None if weights is None else _uniform_step(points)
+    exponentials, c, d_upper = _exponentials(system), system.c, problem.d_upper
+    phi = np.zeros(len(system.exponents))
+    phi.setflags(write=False)
+    yield phi if weights is None else weights.dot(phi)
+    # memo: exact h -> (A, Q) for the per-step passes.  A uniform grid has a
+    # handful of distinct rounded h, a graded one a new h at every step; at
+    # most _CHUNK pairs are kept, so the state stays O(K).  Rows go straight
+    # into _update: a row view left in a variable would keep a cleared table
+    memo, step_method, tables, g_prev, lo = {}, BACKWARD_EULER, None, 0.0, 0
+    while lo < last:
+        hi = min(lo + (1 if lo == 0 else _CHUNK if tables is None else _BLOCK), last)
+        times = points[lo : hi + 1].tolist()
+        g = [g_prev] + [_forcing(d_upper, t) for t in times[1:]]
+        g_prev, g = g[-1], np.array(g)
+        f = g[1:] + g[:-1] if step_method == TRAPEZOIDAL else g[1:]
+        if tables is None:
+            steps = list(map(sub, times[1:], times))
+            distinct = set(steps)
+            new = list(distinct.difference(memo))
+            if len(memo) + len(new) > _CHUNK:
+                memo.clear()
+                new = list(distinct)
+            if new:
+                memo.update(zip(new, _coefficients(exponentials, step_method, new)))
+            for f_i, h in zip(f.tolist(), steps):
+                phi = _update(phi, c, f_i, *memo[h])
+                yield phi if weights is None else weights.dot(phi)
+        else:
+            fold, kernel, carry, decay = tables
+            n = hi - lo
+            values = (fold[:n].dot(phi) + kernel[:n, :n].dot(f)).tolist()
+            if hi < last:
+                phi = decay * phi + f[::-1].dot(carry)
+            yield from values
+        if lo == 0:  # the first step was backward Euler whatever the method
+            memo, step_method = {}, method
+            if nominal is not None and hi < last:
+                tables = _block_tables(exponentials, c, method, nominal, weights, min(_BLOCK, last - 1))
+        lo = hi
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -192,37 +235,6 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return weights
 
 
-def _stepwise(problem, system, points, method):
-    phi = np.zeros(len(system.exponents))
-    phi.setflags(write=False)
-    yield phi
-    # exact h -> (A, theta, Q), formed a chunk of steps per call: a uniform
-    # grid has a handful of distinct rounded h, a graded one a new h at every
-    # step; at most _CHUNK sets are kept, so the state stays O(K).  The first
-    # step goes alone (it is backward Euler whatever the method)
-    exponentials, c, d_upper = _exponentials(system), system.c, problem.d_upper
-    rows, step_method, g_prev, lo, last = {}, BACKWARD_EULER, 0.0, 0, len(points) - 1
-    while lo < last:
-        hi = min(lo + (_CHUNK if lo else 1), last)
-        times = points[lo : hi + 1].tolist()
-        steps = list(map(sub, times[1:], times))
-        distinct = set(steps)
-        new = list(distinct.difference(rows))
-        if len(rows) + len(new) > _CHUNK:
-            rows.clear()
-            new = list(distinct)
-        if new:
-            rows.update(zip(new, _coefficients(exponentials, step_method, new)))
-        for t_next, h in zip(times[1:], steps):
-            g_next = _forcing(d_upper, t_next)
-            phi = _update(phi, c, g_prev, g_next, *rows[h])
-            g_prev = g_next
-            yield phi
-        if lo == 0:
-            rows, step_method = {}, method
-        lo = hi
-
-
 def _uniform_step(points: np.ndarray) -> float | None:
     """T/N if every step lies within _UNIFORM_SPREAD of it, else None."""
     last = len(points) - 1
@@ -233,7 +245,7 @@ def _uniform_step(points: np.ndarray) -> float | None:
     return h
 
 
-def _block_tables(system: DiffusiveSystem, method: str, h: float, weights: np.ndarray, rows: int):
+def _block_tables(exponentials, c: float, method: str, h: float, weights: np.ndarray, rows: int):
     """(fold, kernel, carry, decay): the tables that take ``rows`` steps of length h at once.
 
     With phi the state before the run and f_i = g_i + theta g_{i-1} its
@@ -242,46 +254,18 @@ def _block_tables(system: DiffusiveSystem, method: str, h: float, weights: np.nd
     . carry.  fold_j = weights A^j, decay = A^rows, carry_l = c Q A^l, and
     kernel is the lower-triangular Toeplitz matrix of kappa_l = weights . carry_l.
     """
-    [(amp, _, gain)] = _coefficients(_exponentials(system), method, [h])
+    [(amp, gain)] = _coefficients(exponentials, method, [h])
     # both tables are running products down their rows, formed in place: an
     # operand broadcast over a table would cost numpy a temporary of its size
     fold, carry = np.empty((rows, len(amp))), np.empty((rows, len(amp)))
     fold[:], carry[:] = amp, amp
     fold[0] *= weights
-    carry[0] = system.c * gain
+    carry[0] = c * gain
     np.multiply.accumulate(fold, axis=0, out=fold)
     np.multiply.accumulate(carry, axis=0, out=carry)
     lag = np.subtract.outer(np.arange(rows), np.arange(rows))
     kernel = np.where(lag >= 0, (carry @ weights)[lag], 0.0)
     return fold, kernel, carry, amp**rows
-
-
-def _blocks(problem, system, points, method, weights, h):
-    """iter_solution's folded values on a grid of steps h: the first step
-    alone, as in _stepwise, then _BLOCK steps per pass."""
-    d_upper, last = problem.d_upper, len(points) - 1
-    phi = np.zeros(len(system.exponents))
-    yield weights.dot(phi)
-    g_prev = _forcing(d_upper, float(points[1]))
-    phi = advance(phi, system, BACKWARD_EULER, float(points[1] - points[0]), 0.0, g_prev)
-    yield weights.dot(phi)
-    rows = min(_BLOCK, last - 1)
-    if rows == 0:
-        return
-    fold, kernel, carry, decay = _block_tables(system, method, h, weights, rows)
-    trapezoidal = method == TRAPEZOIDAL
-    lo = 1
-    while lo < last:
-        hi = min(lo + rows, last)
-        g = [g_prev]
-        g += [_forcing(d_upper, t) for t in points[lo + 1 : hi + 1].tolist()]
-        g_prev, g, n = g[-1], np.array(g), hi - lo
-        f = g[1:] + g[:-1] if trapezoidal else g[1:]
-        values = (fold[:n].dot(phi) + kernel[:n, :n].dot(f)).tolist()
-        if hi < last:
-            phi = decay * phi + f[::-1].dot(carry)
-        yield from values
-        lo = hi
 
 
 def quadrature_coefficients(rule: QuadratureRule) -> np.ndarray:

@@ -489,6 +489,18 @@ def test_main_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_main_stdin_that_is_not_utf8_is_config_error(monkeypatch, capsys):
+    # sys.stdin decodes undecodable bytes to lone surrogates; they fail the
+    # read as in a file instead of reaching the parser
+    monkeypatch.setattr("sys.stdin", io.StringIO("command = nodes\nK = 2\n\udcff\n"))
+    assert main(["-"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("diffcap: config error: cannot read '-': ")
+    assert "can't decode byte 0xff" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_unwritable_output_is_config_error(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "x.csv"
     assert main(["nodes", "K=2", f"output={target}"]) == EXIT_CONFIG

@@ -198,6 +198,19 @@ def test_grid_rejects_invalid_input(make_grid, message):
         make_grid()
 
 
+@pytest.mark.parametrize("make_grid", [uniform_grid, graded_grid])
+@pytest.mark.parametrize("n_steps", [3, 7, 9])
+def test_grids_near_the_top_of_double_range_warn_nothing(make_grid, n_steps):
+    # (T / n) n rounds past the largest double for these n; Tier-1 turns the
+    # overflow warning numpy would emit into an error
+    top = 1.7976931348623157e308
+    grid = make_grid(0.0, top, n_steps)
+    assert np.all(np.isfinite(grid.points))
+    assert grid.points[-1] == top
+    with pytest.raises(InvalidParameterError, match="grid points must be finite"):
+        make_grid(1e308, 1.5e308, n_steps)
+
+
 def test_grid_rejects_non_monotone_points():
     with pytest.raises(InvalidParameterError):
         TimeGrid(points=np.array([0.0, 0.5, 0.5, 1.0]))

@@ -31,7 +31,7 @@ from diffcap import (
     uniform_grid,
 )
 from diffcap.oracle import corpus_names
-from diffcap.steppers import _BLOCK, _CHUNK, quadrature_coefficients, state_combination
+from diffcap.steppers import _BLOCK, _CHUNK, _uniform_step, quadrature_coefficients, state_combination
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -538,7 +538,7 @@ def _per_step_fold(problem, rule, grid, method):
 @pytest.mark.parametrize("alpha", [0.4, 1.5, 2.6])
 @pytest.mark.parametrize("name", corpus_names())
 def test_block_values_match_the_per_step_fold(name, alpha, method):
-    # uniform grids take the block path after the first step; partial and
+    # uniform grids take block passes after the first step; partial and
     # single blocks, one block and one step over, and a long run
     for a, T in ((0.0, 1.0), (-3.7, 2.3), (0.5, 40.0)):
         problem = make_problem(name, alpha, a=a, T=T)
@@ -563,6 +563,24 @@ def test_grid_far_from_zero_folds_each_step(method):
     values = evaluate_derivative(problem, rule, grid, method=method)
     folded = _per_step_fold(problem, rule, grid, method)
     assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(folded))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("k", [6, 64])
+@pytest.mark.parametrize("n_steps", [1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("a", [0.0, 1e6], ids=["graded", "uniform-far-from-zero"])
+def test_folded_stream_off_the_block_path_is_the_dot_of_each_phi(a, n_steps, k, method):
+    # the folded and phi streams share the per-step passes on grids that are
+    # not uniform to within 3e-11 of T/N, so each value is bit for bit the dot;
+    # at a = 1e6, T = 0.9 no N > 1 here gives steps that round alike
+    problem = make_problem("sin", 0.9, a=a, T=0.9)
+    rule = gauss_laguerre_rule(k)
+    grid = uniform_grid(a, 0.9, n_steps) if a else graded_grid(a, 0.9, n_steps, 2.0)
+    assert n_steps == 1 or _uniform_step(grid.points) is None
+    weights = np.random.default_rng(n_steps).standard_normal(2 * k)
+    folded = np.fromiter(iter_solution(problem, rule, grid, method=method, weights=weights), float)
+    per_phi = np.array([weights.dot(phi) for phi in iter_solution(problem, rule, grid, method=method)])
+    assert folded.tobytes() == per_phi.tobytes()
 
 
 @pytest.mark.parametrize(
