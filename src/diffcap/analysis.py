@@ -76,9 +76,8 @@ def ode_error_profile(
     truth_tol: float = 1e-10,
 ) -> np.ndarray:
     """The ODE error r_ode at every grid index, as decompose_error reports it (index 0 is 0)."""
-    truth_tol = _validate_tol(truth_tol)
-    scheme = evaluate_derivative(problem, rule, grid, method=method)
-    return _exact_sums(problem, rule, grid, truth_tol) - scheme
+    _, values, sums = _walk(problem, rule, grid, method, _validate_tol(truth_tol))
+    return np.array(sums) - values
 
 
 def quadrature_error(
@@ -94,14 +93,16 @@ def _rule_sum(problem: DerivativeProblem, rule: QuadratureRule, t: float, truth_
     return float(quadrature_coefficients(rule) @ exact_combination(problem, rule, t, truth_tol))
 
 
-def _exact_sums(
-    problem: DerivativeProblem, rule: QuadratureRule, grid: TimeGrid, truth_tol: float
-) -> np.ndarray:
-    """``_rule_sum`` at every grid time; 0 at t_0 = a, where every phi vanishes."""
-    sums = np.zeros(len(grid.points))
-    for n in range(1, len(grid.points)):
-        sums[n] = _rule_sum(problem, rule, float(grid.points[n]), truth_tol)
-    return sums
+def _walk(
+    problem: DerivativeProblem, rule: QuadratureRule, grid: TimeGrid, method: str, truth_tol: float
+) -> tuple[list[float], np.ndarray, list[float]]:
+    """The oracles' time, the scheme's value and ``_rule_sum`` at every grid index.  The
+    scheme runs first, so no oracle sees a grid it rejects; index 0 is a, where the
+    state is zero, and later times are moved into [a, a + T] from _check_grid's slack."""
+    values = evaluate_derivative(problem, rule, grid, method=method)
+    a, end = problem.a, problem.end
+    times = [a] + [min(max(t, a), end) for t in grid.points[1:].tolist()]
+    return times, values, [_rule_sum(problem, rule, t, truth_tol) for t in times]
 
 
 def decompose_error(
@@ -119,22 +120,17 @@ def decompose_error(
     (within 10 * truth_tol).
     """
     truth_tol = _validate_tol(truth_tol, DECOMPOSE_TOL_MAX)
-    scheme = evaluate_derivative(problem, rule, grid, method=method)
-    exact_sums = _exact_sums(problem, rule, grid, truth_tol)
-    rows = [ErrorDecomposition(0, 0.0, 0.0, 0.0, truth_tol)]
-    for n in range(1, len(grid.points)):
-        t = float(grid.points[n])
-        value, exact_sum = float(scheme[n]), float(exact_sums[n])
-        rows.append(
-            ErrorDecomposition(
-                n=n,
-                r_total=brute_force_caputo(problem, t, truth_tol) - value,
-                r_q=reference_quadrature(problem, t, truth_tol) - exact_sum,
-                r_ode=exact_sum - value,
-                oracle_tol=truth_tol,
-            )
+    times, values, sums = _walk(problem, rule, grid, method, truth_tol)
+    return [
+        ErrorDecomposition(
+            n=n,
+            r_total=brute_force_caputo(problem, t, truth_tol) - value,
+            r_q=reference_quadrature(problem, t, truth_tol) - exact_sum,
+            r_ode=exact_sum - value,
+            oracle_tol=truth_tol,
         )
-    return rows
+        for n, (t, value, exact_sum) in enumerate(zip(times, values.tolist(), sums))
+    ]
 
 
 def _sampled_sup(fn, a: float, T: float) -> float:

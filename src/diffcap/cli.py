@@ -139,10 +139,9 @@ _NUMBERS = dict(
 @contextmanager
 def _building(key: str):
     """Turn the library's rejection of ``key``'s value into a ConfigError that names
-    the key.  Overflow is left to the run's finiteness checks, as in :func:`run`."""
+    the key.  The grid builders keep their own overflow silent."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
+        yield
     except InvalidParameterError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 

@@ -149,13 +149,17 @@ class TimeGrid:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays theirs
         if pts.ndim != 1 or len(pts) < 2:
             raise InvalidParameterError("a grid needs at least two points")
         if not np.all(np.isfinite(pts)):
             raise InvalidParameterError("grid points must be finite")
-        if np.any(np.diff(pts) <= 0.0):
+        with np.errstate(over="ignore"):
+            steps = np.diff(pts)
+        if np.any(steps <= 0.0):
             raise InvalidParameterError("grid points must be strictly increasing")
+        if not np.all(np.isfinite(steps)):
+            raise InvalidParameterError("grid steps must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -177,9 +177,9 @@ def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float)
     ``rule`` supplies ``nodes`` x_k and ``log_weights`` ln a_k.  Node
     tolerances are split so the weighted sum over all nodes, with weights
     a_k e^{x_k}, stays within ``budget``, which must lie in [TOL_MIN, TOL_MAX].
-    No time validation: callers pass the times of their own grid.
     """
     budget = _validate_tol(budget)
+    t = _validate_time(problem, t)
     q = problem.fractional_part
     npoints = len(rule.nodes)
     coef_log = rule.log_weights + rule.nodes
@@ -218,8 +218,6 @@ def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10)
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
     a = problem.a
-    if t == a:
-        return 0.0
     mu = problem.ceil_order - problem.alpha
     inv_mu = 1.0 / mu
     upper = (t - a) ** mu

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,11 +11,13 @@ from diffcap import (
     DerivativeProblem,
     InsufficientDataError,
     InvalidParameterError,
+    TimeGrid,
     UnsupportedOperationError,
     brute_force_caputo,
     corpus_function,
     corpus_names,
     decompose_error,
+    evaluate_derivative,
     exact_combination,
     fit_rate,
     gauss_laguerre_rule,
@@ -147,6 +150,49 @@ def test_ode_profile_is_the_r_ode_column(method, grid):
     profile = ode_error_profile(problem, rule, grid, method=method, truth_tol=1e-9)
     rows = decompose_error(problem, rule, grid, method=method, truth_tol=1e-9)
     assert profile.tolist() == [row.r_ode for row in rows]
+
+
+def _moved_end_grid(a: float, T: float, index: int, move: str) -> TimeGrid:
+    """uniform_grid(a, T, 4) with its point at ``index`` moved by an ulp or by a
+    multiple of the slack _check_grid allows each end."""
+    points = uniform_grid(a, T, 4).points.copy()
+    t = points[index]
+    slack = 1e-12 * T + 4.0 * math.ulp(max(abs(a), abs(a + T)))
+    points[index] = {
+        "-ulp": math.nextafter(t, -math.inf),
+        "+ulp": math.nextafter(t, math.inf),
+        "-half": t - slack / 2.0,
+        "+half": t + slack / 2.0,
+        "-twice": t - 2.0 * slack,
+        "+twice": t + 2.0 * slack,
+    }[move]
+    return TimeGrid(points)
+
+
+@pytest.mark.parametrize("move", ["-ulp", "+ulp", "-half", "+half"])
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("a, T", [(0.0, 1.0), (-3.7, 2.3)])
+def test_error_split_takes_every_grid_the_scheme_takes(a, T, index, move):
+    problem = make_problem("pow2", 0.5, a=a, T=T)
+    rule = gauss_laguerre_rule(4)
+    grid = _moved_end_grid(a, T, index, move)
+    evaluate_derivative(problem, rule, grid)
+    rows = decompose_error(problem, rule, grid, truth_tol=1e-9)
+    profile = ode_error_profile(problem, rule, grid, truth_tol=1e-9)
+    assert (rows[0].r_total, rows[0].r_q, rows[0].r_ode) == (0.0, 0.0, 0.0)
+    assert profile.tolist() == [row.r_ode for row in rows]
+
+
+@pytest.mark.parametrize("move", ["-twice", "+twice"])
+@pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("a, T", [(0.0, 1.0), (-3.7, 2.3)])
+def test_error_split_rejects_every_grid_the_scheme_rejects(a, T, index, move):
+    problem = make_problem("pow2", 0.5, a=a, T=T)
+    rule = gauss_laguerre_rule(4)
+    grid = _moved_end_grid(a, T, index, move)
+    for entry in (evaluate_derivative, decompose_error, ode_error_profile):
+        with pytest.raises(InvalidParameterError, match="do not match the problem interval"):
+            entry(problem, rule, grid)
 
 
 def test_ode_error_constant_spot_value():
@@ -444,7 +490,6 @@ def _mp_quadrature_error_pow2_half(mpmath, k):
 def test_quadrature_error_matches_mpmath():
     # acceptance criterion 6's r_q at 40 digits: its sign changes (+ at K=5,
     # - at 10..40, + at 80) are properties of the rule, not oracle noise
-    mpmath = pytest.importorskip("mpmath")
     truth_tol = 1e-10
     problem = make_problem("pow2", 0.5)
     with mpmath.workdps(40):

@@ -353,6 +353,28 @@ def test_run_derivative_overflow_prints_one_line_and_no_numpy_warning(a, T, code
     assert err.count("\n") == 1
 
 
+_TOP = "T=1.7976931348623157e308"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["derivative", "a=0", _TOP, "N=3"], EXIT_NUMERICAL),
+        (["convergence", "a=0", _TOP, "N_list=3,7,9"], EXIT_NUMERICAL),
+        (["derivative", "a=-1e308", "T=1.7e308", "N=7", "grid=graded(2)"], EXIT_NUMERICAL),
+        (["derivative", "a=1e308", "T=1e308", "N=3"], EXIT_CONFIG),
+    ],
+    ids=["uniform-top", "convergence-top", "graded-wide", "end-overflows"],
+)
+def test_grids_near_the_top_of_double_range_print_one_line_and_no_numpy_warning(argv, code, capsys):
+    # the grid builders silence their own overflow; the config parser adds no guard
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "function=pow2", "alpha=0.5", "K=16"]) == code
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_run_derivative_exact_column_is_infinite_where_the_closed_form_overflows(capsys):
     # 1.5 t^1.5 exceeds the largest double at t = 1e250; the scheme's values,
     # whose error grows with the interval length, stay finite there

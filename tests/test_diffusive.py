@@ -189,13 +189,22 @@ def test_graded_grid_ends_at_a_plus_T(a, T, n_steps, exponent):
     [
         (lambda: TimeGrid(np.array([0.0])), "at least two points"),
         (lambda: TimeGrid(np.array([0.0, math.nan])), "finite"),
+        # the step overflows; Tier-1 turns numpy's overflow warning into an error
+        (lambda: TimeGrid(np.array([-1e308, 1e308])), "grid steps must be finite"),
         (lambda: graded_grid(0.0, 1.0, 4, 0.0), "grading exponent must be positive"),
     ],
-    ids=["one-point", "nan-point", "zero-exponent"],
+    ids=["one-point", "nan-point", "infinite-step", "zero-exponent"],
 )
 def test_grid_rejects_invalid_input(make_grid, message):
     with pytest.raises(InvalidParameterError, match=message):
         make_grid()
+
+
+def test_grid_copies_its_points():
+    points = np.array([0.0, 0.5, 1.0])
+    grid = TimeGrid(points)
+    points[0] = -1.0
+    assert grid.points.tolist() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("make_grid", [uniform_grid, graded_grid])

@@ -112,6 +112,15 @@ def _one_node_rule(x: float) -> QuadratureRule:
     return QuadratureRule(npoints=1, nodes=np.array([x]), log_weights=np.array([0.0]))
 
 
+@pytest.mark.parametrize("t", [-1.0, -5e-324, 1.0000000000000002, 3.0])
+def test_oracles_reject_times_outside_the_interval(t):
+    problem = _unit_forcing_problem(0.5)
+    with pytest.raises(InvalidParameterError, match="outside the problem interval"):
+        exact_phi(problem, 1.0, t, 1e-10)
+    with pytest.raises(InvalidParameterError, match="outside the problem interval"):
+        exact_combination(problem, _one_node_rule(2.0), t, 1e-10)
+
+
 def test_exact_combination_vanishes_at_left_endpoint():
     problem = _unit_forcing_problem(0.5)
     assert exact_combination(problem, _one_node_rule(2.0), 0.0, 1e-10).tolist() == [0.0]
@@ -168,6 +177,8 @@ import sys
 import diffcap, diffcap.cli
 diffcap.cli.main(["derivative", "alpha=0.6", "a=0", "T=1", "N=40", "K=16",
                   "function=sin", "grid=graded(2)", "output=" + sys.argv[1]])
+print(all(diffcap.brute_force_caputo(diffcap.make_problem(name, alpha, a=-3.7, T=2.3), -3.7) == 0.0
+          for name in diffcap.corpus_names() for alpha in (0.5, 1.3, 2.7)))
 print("scipy.integrate" in sys.modules)
 print(repr(diffcap.brute_force_caputo(diffcap.make_problem("sin", 0.5), 0.7, 1e-10)))
 print("scipy.integrate" in sys.modules)
@@ -175,8 +186,9 @@ print("scipy.integrate" in sys.modules)
 
 
 def test_scipy_loads_on_the_first_quadrature_only(tmp_path):
-    # the scheme and the CLI's derivative command never integrate, so a fresh
-    # process must not pay for scipy.integrate until an oracle needs it
+    # the scheme, the CLI's derivative command and the oracles at t = a never
+    # integrate, so a fresh process must not pay for scipy.integrate until an
+    # oracle needs it
     env = dict(os.environ)
     src = str(Path(diffcap.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -184,7 +196,7 @@ def test_scipy_loads_on_the_first_quadrature_only(tmp_path):
     done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, str(output)], env=env,
                           capture_output=True, text=True, check=True)
     value = brute_force_caputo(make_problem("sin", 0.5), 0.7, 1e-10)
-    assert done.stdout.splitlines() == ["False", repr(value), "True"]
+    assert done.stdout.splitlines() == ["True", "False", repr(value), "True"]
     assert len(output.read_text(encoding="utf-8").splitlines()) == 42
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -180,7 +181,6 @@ def _mp_laguerre_pair(mpmath, n, x):
 def test_rule_matches_forty_digit_recomputation(k):
     # each float node polished by Newton at 40 digits, then
     # ln a_k = ln x - 2 ln((K+1) |L_{K+1}(x)|); no code from quadrature
-    mpmath = pytest.importorskip("mpmath")
     rule = gauss_laguerre_rule(k)
     worst_node = worst_log_weight = 0.0
     with mpmath.workdps(40):

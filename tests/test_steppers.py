@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,7 +114,6 @@ def test_backward_euler_is_a_stable(w, h):
 
 def test_log_amplification_matches_mpmath():
     # -ln(1 + h e^w) at 40 digits, over the exponents the W+ block reaches
-    mpmath = pytest.importorskip("mpmath")
     ws = np.linspace(-60.0, 800.0, 431)
     worst = 0.0
     with mpmath.workdps(40):
@@ -129,7 +129,6 @@ def test_step_coefficients_match_mpmath():
     # A and Q of one step, read off advance (phi = 1 with zero forcing gives A,
     # phi = 0 with g_next = 1 and c = 1 gives Q), against 40 digits, wherever
     # the value exceeds 1e-300; e^w is inf above w = 709.78
-    mpmath = pytest.importorskip("mpmath")
     ws = np.linspace(-60.0, 800.0, 173)
     with np.errstate(over="ignore"):
         assert np.isinf(np.exp(ws)).any()
