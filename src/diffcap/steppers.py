@@ -15,10 +15,12 @@ The derivative itself is the weighted sum over nodes, assembled from
 ln a_k + x_k (the weights underflow and e^{x_k} overflows long before their
 product stops being moderate).
 
-One loop walks the grid with a state of 2K numbers.  It takes the first
-step alone, then passes of several steps; each pass samples its forcing and
-forms its sums f_i once, and is of one of two kinds.  A per-step pass
-applies the update step by step.  A block pass serves the folded stream on
+One loop walks the grid with a state of 2K numbers, or, for the folded
+stream, of the modes that move at this grid's steps and span plus one
+column per frozen set (stiff, or slow).  It takes the first step alone,
+then passes of several steps; each pass samples its forcing and forms its
+sums f_i once, and is of one of two kinds.  A per-step pass applies the
+update step by step.  A block pass serves the folded stream on
 a grid of one step length h, where the recurrence has a closed form over
 m steps: phi_{n+j} = A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i, so the folded
 values y_{n+j} = weights . phi_{n+j} of m steps are one (m x 2K) table
@@ -46,10 +48,12 @@ TRAPEZOIDAL = "trapezoidal"
 METHODS = (BACKWARD_EULER, TRAPEZOIDAL)
 
 
-def _check_step(h: float, parts: float = 1.0) -> None:
-    # parts = 2: the half step must not round to 0 either
-    if not (math.isfinite(h) and h / parts > 0.0):
-        raise InvalidParameterError(f"step size must be positive, got {h}")
+def _check_step(steps, parts: float = 1.0) -> None:
+    # one step or an array of them; parts = 2: the half step must not round to 0 either
+    steps = np.asarray(steps, dtype=float)
+    bad = ~(np.isfinite(steps) & (steps / parts > 0.0))
+    if bad.any():
+        raise InvalidParameterError(f"step size must be positive, got {float(steps[bad][0])}")
 
 
 def backward_euler_log_amplification(w, h: float):
@@ -69,6 +73,34 @@ def _exponentials(system: DiffusiveSystem):
         return np.exp(-w), np.exp(-q * w), np.exp((1.0 - q) * w)
 
 
+def _collapse(system: DiffusiveSystem, method: str, weights: np.ndarray, points: np.ndarray, h_min: float):
+    """The exponentials and weights of the modes that move, plus a column per frozen set.
+
+    A mode is frozen when dropping its term moves its phi by under 1e-17
+    relative over the run: a slow one (T e^w <= 1e-17) has A = 1 and
+    Q = s e^{qw}; a stiff one has Q = e^{-(1-q)w} and A = 0 (backward Euler,
+    h e^w >= 1e17) or -1 (trapezoidal; A + 1 = 4 / (h e^w) compounds over N
+    steps, so h e^w >= 4e17 N).  Each set steps as its member of largest phi,
+    the others' weights scaled onto it, so no column overflows where its
+    members do not.  h_min is the smallest step of ``points``.
+    """
+    w, q = system.exponents, system.fractional_part
+    u, e_minus_qw, e_rest = _exponentials(system)
+    log_h = math.log(h_min) - (math.log(4.0 * (len(points) - 1)) if method == TRAPEZOIDAL else 0.0)
+    slow = w <= math.log(1e-17) - math.log(points[-1] - points[0])
+    stiff = w >= math.log(1e17) - log_h
+    moving = ~(slow | stiff)
+    columns = [(u[moving], e_minus_qw[moving], e_rest[moving], weights[moving])]
+    if slow.any():
+        scale = np.exp(q * (w[slow] - w[slow].max()))
+        columns.append(([np.inf], [e_minus_qw[slow].min()], [0.0], [weights[slow].dot(scale)]))
+    if stiff.any():
+        scale = np.exp((q - 1.0) * (w[stiff] - w[stiff].min()))
+        columns.append(([0.0], [0.0], [e_rest[stiff].min()], [weights[stiff].dot(scale)]))
+    u, e_minus_qw, e_rest, weights = np.hstack(columns)
+    return (u, e_minus_qw, e_rest), weights
+
+
 def _coefficients(exponentials, method: str, steps):
     """(A, Q) of each step of the given lengths, from B = 1 / (1 + s e^w).
 
@@ -80,8 +112,7 @@ def _coefficients(exponentials, method: str, steps):
     s > 0 is finite, no overflowed or underflowed exponential gives nan.
     """
     theta = 0.0 if method == BACKWARD_EULER else 1.0
-    for h in steps:
-        _check_step(h, 1.0 + theta)
+    _check_step(steps, 1.0 + theta)
     s = np.array(steps, dtype=float)[:, None] / (1.0 + theta)
     u, e_minus_qw, e_rest = exponentials
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,7 +196,10 @@ def iter_solution(
     start), so no method reads d_upper(a) or keeps a start-up error.
 
     With ``weights`` (2K finite numbers, else InvalidParameterError) it
-    yields the float weights . phi instead, the first one included.
+    yields the float weights . phi instead, the first one included.  That
+    stream steps only the modes that move over this grid: the frozen slow
+    and stiff modes ride in one summed column each (see _collapse), so its
+    values match the dot of each phi to rounding.
 
     After the first step, which goes alone, the grid is walked in passes.
     On the folded stream over a grid whose every step lies within a relative
@@ -180,12 +214,15 @@ def iter_solution(
     _check_method(method)
     _check_grid(problem, grid)
     system = build_system(problem, rule)
-    if weights is not None:
-        weights = _check_weights(weights, len(system.exponents))
     points, last = grid.points, len(grid.points) - 1
-    nominal = None if weights is None else _uniform_step(points)
-    exponentials, c, d_upper = _exponentials(system), system.c, problem.d_upper
-    phi = np.zeros(len(system.exponents))
+    if weights is None:
+        exponentials, nominal = _exponentials(system), None
+    else:
+        weights = _check_weights(weights, len(system.exponents))
+        h_min, nominal = _scan_steps(points)
+        exponentials, weights = _collapse(system, method, weights, points, h_min)
+    c, d_upper = system.c, problem.d_upper
+    phi = np.zeros(len(exponentials[0]))
     phi.setflags(write=False)
     yield phi if weights is None else weights.dot(phi)
     # memo: exact h -> (A, Q) for the per-step passes.  A uniform grid has a
@@ -235,14 +272,16 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return weights
 
 
-def _uniform_step(points: np.ndarray) -> float | None:
-    """T/N if every step lies within _UNIFORM_SPREAD of it, else None."""
+def _scan_steps(points: np.ndarray) -> tuple[float, float | None]:
+    """The smallest step, and T/N if every step lies within _UNIFORM_SPREAD of it, else None."""
     last = len(points) - 1
     h = float(points[-1] - points[0]) / last
+    h_min, uniform = math.inf, True
     for lo in range(0, last, 1024):  # a slice at a time, so no O(N) temporary
-        if np.max(np.abs(np.diff(points[lo : lo + 1025]) - h)) > _UNIFORM_SPREAD * h:
-            return None
-    return h
+        steps = np.diff(points[lo : lo + 1025])
+        h_min = min(h_min, float(steps.min()))
+        uniform = uniform and not np.max(np.abs(steps - h)) > _UNIFORM_SPREAD * h
+    return h_min, h if uniform else None
 
 
 def _block_tables(exponentials, c: float, method: str, h: float, weights: np.ndarray, rows: int):

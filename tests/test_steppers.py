@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import re
 import tracemalloc
@@ -31,8 +32,9 @@ from diffcap import (
     truncate_rule,
     uniform_grid,
 )
+from diffcap import steppers
 from diffcap.oracle import corpus_names
-from diffcap.steppers import _BLOCK, _CHUNK, _uniform_step, quadrature_coefficients, state_combination
+from diffcap.steppers import _BLOCK, _CHUNK, _scan_steps, quadrature_coefficients, state_combination
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -570,16 +572,74 @@ def test_grid_far_from_zero_folds_each_step(method):
 @pytest.mark.parametrize("a", [0.0, 1e6], ids=["graded", "uniform-far-from-zero"])
 def test_folded_stream_off_the_block_path_is_the_dot_of_each_phi(a, n_steps, k, method):
     # the folded and phi streams share the per-step passes on grids that are
-    # not uniform to within 3e-11 of T/N, so each value is bit for bit the dot;
-    # at a = 1e6, T = 0.9 no N > 1 here gives steps that round alike
+    # not uniform to within 3e-11 of T/N; the folded one steps the frozen modes
+    # summed into two columns, so each value is the dot to rounding.  At
+    # a = 1e6, T = 0.9 no N > 1 here gives steps that round alike
     problem = make_problem("sin", 0.9, a=a, T=0.9)
     rule = gauss_laguerre_rule(k)
     grid = uniform_grid(a, 0.9, n_steps) if a else graded_grid(a, 0.9, n_steps, 2.0)
-    assert n_steps == 1 or _uniform_step(grid.points) is None
+    assert n_steps == 1 or _scan_steps(grid.points)[1] is None
     weights = np.random.default_rng(n_steps).standard_normal(2 * k)
     folded = np.fromiter(iter_solution(problem, rule, grid, method=method, weights=weights), float)
     per_phi = np.array([weights.dot(phi) for phi in iter_solution(problem, rule, grid, method=method)])
-    assert folded.tobytes() == per_phi.tobytes()
+    assert np.max(np.abs(folded - per_phi)) <= 1e-13 * np.max(np.abs(per_phi))
+
+
+def _outcome(call):
+    # the values, or the error a call raised; a numpy warning is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except (EvaluationError, RuntimeWarning) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", corpus_names())
+def test_folded_stream_with_frozen_modes_collapsed_matches_the_per_mode_fold(name, method):
+    # T from 1e-300 to 1e250 moves the slow and stiff sets across the whole
+    # rule; a reference exponent taken from the wrong end of a set overflows.
+    # Where the per-mode fold raises or warns (exp overflows at T = 1e250, and
+    # so does pow2's derivative for alpha <= 0.5), the folded stream must too
+    for alpha, T in itertools.product((0.04, 0.5, 0.96, 2.3), (1e-300, 1e-8, 1e-2, 1.0, 1e2, 1e8, 1e250)):
+        problem = make_problem(name, alpha, a=0.0, T=T)
+        grids = (uniform_grid(0.0, T, 40), graded_grid(0.0, T, 40, 1.5), graded_grid(0.0, T, 40, 3.0))
+        for grid, k in itertools.product(grids, (8, 64, 256)):
+            rule = gauss_laguerre_rule(k)
+            case = (alpha, T, k, grid.points[1] / grid.points[-1])
+            folded = _outcome(lambda: _per_step_fold(problem, rule, grid, method))
+            values = _outcome(lambda: evaluate_derivative(problem, rule, grid, method=method))
+            if isinstance(folded, str) or isinstance(values, str):
+                assert values == folded, case
+                continue
+            # values below 2^-1022 (pow2 at T = 1e-300) round to absolute
+            # multiples of 2^-1074, not to a relative 1e-13
+            q = problem.fractional_part
+            floor = np.sum(quadrature_coefficients(rule)) * (1.0 / q + 1.0 / (1.0 - q)) * 2.0**-1074
+            assert np.max(np.abs(values - folded)) <= 1e-13 * np.max(np.abs(folded)) + floor, case
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_folded_stream_steps_only_the_modes_that_move(method, monkeypatch):
+    # at K = 256 on a graded grid over [0, 1] about a fifth of the 2K modes
+    # move; the phi stream still steps them all
+    columns = []
+
+    def counting(exponentials, *args):
+        columns.append(len(exponentials[0]))
+        return coefficients(exponentials, *args)
+
+    coefficients = steppers._coefficients
+    monkeypatch.setattr(steppers, "_coefficients", counting)
+    problem = make_problem("pow2", 0.5)
+    rule = gauss_laguerre_rule(256)
+    grid = graded_grid(0.0, 1.0, 1000, 2.0)
+    evaluate_derivative(problem, rule, grid, method=method)
+    assert columns and max(columns) <= 2 * 256 // 4
+    columns.clear()
+    collections.deque(iter_solution(problem, rule, grid, method=method), maxlen=0)
+    assert columns and set(columns) == {2 * 256}
 
 
 @pytest.mark.parametrize(
