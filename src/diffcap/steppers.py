@@ -19,15 +19,15 @@ One loop walks the grid with a state of 2K numbers, or, for the folded
 stream, of the modes that move at this grid's steps and span plus one
 column per frozen set (stiff, or slow).  It takes the first step alone,
 then passes of several steps; each pass samples its forcing and forms its
-sums f_i once, and is of one of two kinds.  A per-step pass applies the
-update step by step.  A block pass serves the folded stream on
-a grid of one step length h, where the recurrence has a closed form over
-m steps: phi_{n+j} = A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i, so the folded
-values y_{n+j} = weights . phi_{n+j} of m steps are one (m x 2K) table
-times phi_n plus a lower-triangular Toeplitz kernel times the m forcing
-sums, and phi_{n+m} is A^m phi_n plus one more (m x 2K) product (the
-sum-of-exponentials block structure of Lubich & Schaedle, SIAM J. Sci.
-Comput. 24(1), 2002).
+sums f_i once, and is of one of two kinds.  A table pass forms the (A, Q) of
+its steps as two tables, then takes two array operations a step.  A block
+pass serves the folded stream on a grid of one step length h, where the
+recurrence has a closed form over m steps: phi_{n+j} = A^j phi_n +
+sum_{i<=j} A^{j-i} Q c f_i, so the folded values y_{n+j} = weights . phi_{n+j}
+of m steps are one (m x 2K) table times phi_n plus a lower-triangular
+Toeplitz kernel times the m forcing sums, and phi_{n+m} is A^m phi_n plus
+one more (m x 2K) product (the sum-of-exponentials block structure of
+Lubich & Schaedle, SIAM J. Sci. Comput. 24(1), 2002).
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ TRAPEZOIDAL = "trapezoidal"
 METHODS = (BACKWARD_EULER, TRAPEZOIDAL)
 
 
-def _check_step(steps, parts: float = 1.0) -> None:
-    # one step or an array of them; parts = 2: the half step must not round to 0 either
-    steps = np.asarray(steps, dtype=float)
-    bad = ~(np.isfinite(steps) & (steps / parts > 0.0))
-    if bad.any():
-        raise InvalidParameterError(f"step size must be positive, got {float(steps[bad][0])}")
+def _check_step(steps: list, parts: float = 1.0) -> None:
+    # parts = 2: the half step must not round to 0 either; only a lone step can be nan
+    if not (min(steps) / parts > 0.0 and max(steps) < math.inf):
+        bad = next(h for h in steps if not (math.isfinite(h) and h / parts > 0.0))
+        raise InvalidParameterError(f"step size must be positive, got {float(bad)}")
 
 
 def backward_euler_log_amplification(w, h: float):
@@ -62,7 +61,7 @@ def backward_euler_log_amplification(w, h: float):
     Always finite and strictly negative, even where the factor itself
     underflows double precision.
     """
-    _check_step(h)
+    _check_step([h])
     return -np.logaddexp(0.0, np.asarray(w, dtype=float) + math.log(h))
 
 
@@ -102,7 +101,7 @@ def _collapse(system: DiffusiveSystem, method: str, weights: np.ndarray, points:
 
 
 def _coefficients(exponentials, method: str, steps):
-    """(A, Q) of each step of the given lengths, from B = 1 / (1 + s e^w).
+    """(A, Q) of the given step lengths, one row each, from B = 1 / (1 + s e^w).
 
     Backward Euler has s = h, A = B, theta = 0; the trapezoidal rule has
     s = h/2, A = 2B - 1, theta = 1.  Both have Q = s e^{wq} B, formed as
@@ -115,20 +114,22 @@ def _coefficients(exponentials, method: str, steps):
     _check_step(steps, 1.0 + theta)
     s = np.array(steps, dtype=float)[:, None] / (1.0 + theta)
     u, e_minus_qw, e_rest = exponentials
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = s + u
-        slow = s / total  # 1 - B
-        if method == BACKWARD_EULER:
-            amp = np.where(slow < 0.5, 1.0 - slow, u / total)
-        else:
-            amp = 1.0 - 2.0 * slow
-        gain = s / (e_minus_qw + s * e_rest)
-    return list(zip(amp, gain))
+    total = s + u
+    slow = s / total  # 1 - B
+    # in place, so a pass's coefficients cost three tables at most
+    if method == BACKWARD_EULER:
+        amp = np.divide(u, total, out=total)
+        np.subtract(1.0, slow, out=amp, where=slow < 0.5)
+    else:
+        amp = np.subtract(1.0, 2.0 * slow, out=total)
+    gain = np.multiply(s, e_rest, out=slow)
+    gain += e_minus_qw
+    return amp, np.divide(s, gain, out=gain)
 
 
-#: steps of one per-step pass, and most (A, Q) pairs iter_solution keeps
+#: steps of one pass of the phi stream, whose tables have 2K columns
 _CHUNK = 16
-#: steps of one block pass, whose folded values come from closed-form tables
+#: steps of one pass of the folded stream, a table or a block pass
 _BLOCK = 32
 #: largest |step - T/N| / (T/N) of a grid that block passes step as uniform
 _UNIFORM_SPREAD = 3e-11
@@ -148,13 +149,10 @@ def advance(
     ends; backward Euler has theta = 0 and so ignores ``g_prev``.
     """
     _check_method(method)
-    [coefficients] = _coefficients(_exponentials(system), method, [h])
+    with np.errstate(over="ignore", invalid="ignore"):
+        [amp], [gain] = _coefficients(_exponentials(system), method, [h])
     f = g_next + g_prev if method == TRAPEZOIDAL else g_next
-    return _update(phi, system.c, f, *coefficients)
-
-
-def _update(phi, c, f, amp, gain):
-    return phi * amp + (c * f) * gain
+    return phi * amp + (system.c * f) * gain
 
 
 def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
@@ -201,15 +199,14 @@ def iter_solution(
     and stiff modes ride in one summed column each (see _collapse), so its
     values match the dot of each phi to rounding.
 
-    After the first step, which goes alone, the grid is walked in passes.
-    On the folded stream over a grid whose every step lies within a relative
-    3e-11 of T/N, a block pass gives _BLOCK = 32 values from closed-form
-    tables built once per call for the nominal step T/N.  Every other pass
-    takes _CHUNK = 16 steps one by one, with the (A, Q) of each exact step
-    length formed once and at most _CHUNK of them kept.  So at most one
-    pass's forcing and values, _CHUNK coefficient pairs or two _BLOCK-row
-    tables are alive at a time, and a full sweep costs O(N K) time and O(K)
-    memory regardless of the grid length.
+    After the first step, which goes alone, the grid is walked in passes of
+    _BLOCK = 32 steps on the folded stream and _CHUNK = 16 on the phi stream.
+    A folded stream whose grid steps all lie within a relative 3e-11 of T/N
+    takes block passes of eight such blocks, from closed-form tables built
+    once per call; every other pass is a table pass (see _table_pass).  So
+    at most one pass's forcing, values and tables are alive at a time, and a
+    sweep costs O(N K) time and O(K) memory at any grid length.  A phi or
+    value that is not finite raises EvaluationError naming its grid time.
     """
     _check_method(method)
     _check_grid(problem, grid)
@@ -225,41 +222,51 @@ def iter_solution(
     phi = np.zeros(len(exponentials[0]))
     phi.setflags(write=False)
     yield phi if weights is None else weights.dot(phi)
-    # memo: exact h -> (A, Q) for the per-step passes.  A uniform grid has a
-    # handful of distinct rounded h, a graded one a new h at every step; at
-    # most _CHUNK pairs are kept, so the state stays O(K).  Rows go straight
-    # into _update: a row view left in a variable would keep a cleared table
-    memo, step_method, tables, g_prev, lo = {}, BACKWARD_EULER, None, 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the coefficients may overflow
+        tables = None if nominal is None or last < 2 else _block_tables(
+            exponentials, c, method, nominal, weights, min(_BLOCK, last - 1))
+    step_method, g_prev, lo = BACKWARD_EULER, 0.0, 0
     while lo < last:
-        hi = min(lo + (1 if lo == 0 else _CHUNK if tables is None else _BLOCK), last)
+        # a block pass takes eight blocks, which share its errstate and finite check
+        size = 1 if lo == 0 else _CHUNK if weights is None else _BLOCK if tables is None else 8 * _BLOCK
+        hi = min(lo + size, last)
         times = points[lo : hi + 1].tolist()
         g = [g_prev] + [_forcing(d_upper, t) for t in times[1:]]
         g_prev, g = g[-1], np.array(g)
         f = g[1:] + g[:-1] if step_method == TRAPEZOIDAL else g[1:]
-        if tables is None:
-            steps = list(map(sub, times[1:], times))
-            distinct = set(steps)
-            new = list(distinct.difference(memo))
-            if len(memo) + len(new) > _CHUNK:
-                memo.clear()
-                new = list(distinct)
-            if new:
-                memo.update(zip(new, _coefficients(exponentials, step_method, new)))
-            for f_i, h in zip(f.tolist(), steps):
-                phi = _update(phi, c, f_i, *memo[h])
-                yield phi if weights is None else weights.dot(phi)
-        else:
-            fold, kernel, carry, decay = tables
-            n = hi - lo
-            values = (fold[:n].dot(phi) + kernel[:n, :n].dot(f)).tolist()
-            if hi < last:
-                phi = decay * phi + f[::-1].dot(carry)
-            yield from values
-        if lo == 0:  # the first step was backward Euler whatever the method
-            memo, step_method = {}, method
-            if nominal is not None and hi < last:
-                tables = _block_tables(exponentials, c, method, nominal, weights, min(_BLOCK, last - 1))
-        lo = hi
+        with np.errstate(over="ignore", invalid="ignore"):
+            if lo == 0 or tables is None:
+                values, phi = _table_pass(phi, exponentials, c, step_method, times, f, weights)
+            else:
+                fold, kernel, carry, decay = tables
+                values = np.empty(hi - lo)
+                for j in range(0, hi - lo, _BLOCK):
+                    f_j = f[j : j + _BLOCK]
+                    n = len(f_j)
+                    np.add(fold[:n].dot(phi), kernel[:n, :n].dot(f_j), out=values[j : j + n])
+                    if lo + j + _BLOCK < last:
+                        phi = decay * phi + f_j[::-1].dot(carry)
+        if not np.isfinite(values).all():
+            bad = next(t for t, v in zip(times[1:], values) if not np.isfinite(v).all())
+            raise EvaluationError(f"the solution is not finite at t = {bad}")
+        yield from values if weights is None else values.tolist()
+        step_method, lo = method, hi
+
+
+def _table_pass(phi, exponentials, c: float, method: str, times: list, f, weights):
+    """The states after each step between ``times``, or their folded values, and the last state.
+
+    The (A, Q) of the steps form two tables; each step overwrites its A row
+    with phi A + Q c f_i in the two roundings of ``advance``, so the states
+    (rows of one array) are byte-identical to its loop.
+    """
+    steps = list(map(sub, times[1:], times))
+    rows, drives = _coefficients(exponentials, method, steps)
+    drives *= (c * f)[:, None]
+    for amp, drive in zip(rows, drives):
+        phi = np.multiply(phi, amp, out=amp)
+        phi += drive
+    return rows if weights is None else rows @ weights, phi.copy()
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -293,7 +300,7 @@ def _block_tables(exponentials, c: float, method: str, h: float, weights: np.nda
     . carry.  fold_j = weights A^j, decay = A^rows, carry_l = c Q A^l, and
     kernel is the lower-triangular Toeplitz matrix of kappa_l = weights . carry_l.
     """
-    [(amp, gain)] = _coefficients(exponentials, method, [h])
+    [amp], [gain] = _coefficients(exponentials, method, [h])
     # both tables are running products down their rows, formed in place: an
     # operand broadcast over a table would cost numpy a temporary of its size
     fold, carry = np.empty((rows, len(amp))), np.empty((rows, len(amp)))

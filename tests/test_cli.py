@@ -353,6 +353,17 @@ def test_run_derivative_overflow_prints_one_line_and_no_numpy_warning(a, T, code
     assert err.count("\n") == 1
 
 
+def test_run_derivative_whose_values_overflow_names_the_time(capsys):
+    # the scheme's values, not its forcing, pass the largest double here
+    argv = ["derivative", "function=pow2", "alpha=0.5", "a=0", "T=1e250", "N=40", "K=64"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == "diffcap: numerical failure: the solution is not finite at t = 2.5e+248\n"
+
+
 _TOP = "T=1.7976931348623157e308"
 
 

@@ -539,13 +539,15 @@ def _per_step_fold(problem, rule, grid, method):
 @pytest.mark.parametrize("alpha", [0.4, 1.5, 2.6])
 @pytest.mark.parametrize("name", corpus_names())
 def test_block_values_match_the_per_step_fold(name, alpha, method):
-    # uniform grids take block passes after the first step; partial and
-    # single blocks, one block and one step over, and a long run
+    # uniform grids take block passes of eight blocks after the first step;
+    # partial and single blocks, one block and one step over, a pass and one
+    # step over, and a long run
     for a, T in ((0.0, 1.0), (-3.7, 2.3), (0.5, 40.0)):
         problem = make_problem(name, alpha, a=a, T=T)
         for k in (6, 64):
             rule = gauss_laguerre_rule(k)
-            for n_steps in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1000):
+            for n_steps in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 8 * _BLOCK + 1,
+                            8 * _BLOCK + 2, 1000):
                 grid = uniform_grid(a, T, n_steps)
                 values = evaluate_derivative(problem, rule, grid, method=method)
                 folded = _per_step_fold(problem, rule, grid, method)
@@ -553,6 +555,24 @@ def test_block_values_match_the_per_step_fold(name, alpha, method):
                 assert values.shape == folded.shape
                 assert values[0] == 0.0
                 assert np.max(np.abs(values - folded)) <= 1e-12 * scale, (a, T, k, n_steps)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", corpus_names())
+def test_graded_table_passes_match_the_per_step_fold(name, method):
+    # graded grids take table passes after the first step: _BLOCK steps on the
+    # folded stream, _CHUNK on the phi stream the reference folds; partial and
+    # single passes, one pass and one step over, and a long run
+    for alpha in (0.4, 1.5, 2.6):
+        problem = make_problem(name, alpha, a=-3.7, T=2.3)
+        for k in (6, 64, 256):
+            rule = gauss_laguerre_rule(k)
+            for n_steps in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1000):
+                grid = graded_grid(-3.7, 2.3, n_steps, 2.0)
+                values = evaluate_derivative(problem, rule, grid, method=method)
+                folded = _per_step_fold(problem, rule, grid, method)
+                assert values[0] == 0.0
+                assert np.max(np.abs(values - folded)) <= 1e-13 * np.max(np.abs(folded)), (alpha, k, n_steps)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -571,7 +591,7 @@ def test_grid_far_from_zero_folds_each_step(method):
 @pytest.mark.parametrize("n_steps", [1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
 @pytest.mark.parametrize("a", [0.0, 1e6], ids=["graded", "uniform-far-from-zero"])
 def test_folded_stream_off_the_block_path_is_the_dot_of_each_phi(a, n_steps, k, method):
-    # the folded and phi streams share the per-step passes on grids that are
+    # the folded and phi streams both take table passes on grids that are
     # not uniform to within 3e-11 of T/N; the folded one steps the frozen modes
     # summed into two columns, so each value is the dot to rounding.  At
     # a = 1e6, T = 0.9 no N > 1 here gives steps that round alike
@@ -640,6 +660,45 @@ def test_folded_stream_steps_only_the_modes_that_move(method, monkeypatch):
     columns.clear()
     collections.deque(iter_solution(problem, rule, grid, method=method), maxlen=0)
     assert columns and set(columns) == {2 * 256}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trapezoidal_stiff_bound_grows_with_the_step_count(method):
+    # the trapezoidal A = -1 + 4 / (h e^w) compounds over the N steps, so a mode
+    # with 1e17 <= h_min e^w < 4e17 N freezes under backward Euler only
+    points = uniform_grid(0.0, 1.0, 10).points
+    h_min = _scan_steps(points)[0]
+    w = np.log([1e16, 2e17, 1e18, 3.9e18, 5e18, 1e20]) - math.log(h_min)  # h_min e^w; 4e17 N = 4e18
+    system = DiffusiveSystem(fractional_part=0.5, c=1.0, exponents=w)
+    (u, _, _), _ = steppers._collapse(system, method, np.ones(len(w)), points, h_min)
+    moving = 4 if method == TRAPEZOIDAL else 1
+    assert u.tobytes() == np.r_[np.exp(-w[:moving]), 0.0].tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("alpha", [0.5, 0.04])
+@pytest.mark.parametrize("graded", [False, True])
+def test_values_that_overflow_raise_evaluation_error_naming_the_first_time(graded, alpha, method):
+    # pow2's values pass the largest double inside [0, 1e250]: both streams
+    # raise, with no numpy warning, at the first time an advance loop overflows
+    problem = make_problem("pow2", alpha, T=1e250)
+    rule = gauss_laguerre_rule(64)
+    grid = graded_grid(0.0, 1e250, 40, 2.0) if graded else uniform_grid(0.0, 1e250, 40)
+    system = build_system(problem, rule)
+    phi, step_method, g_prev = np.zeros(2 * rule.npoints), BACKWARD_EULER, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t_prev, t_next in zip(grid.points[:-1].tolist(), grid.points[1:].tolist()):
+            g_next = problem.d_upper(t_next)
+            phi = advance(phi, system, step_method, t_next - t_prev, g_prev, g_next)
+            if not np.all(np.isfinite(phi)):
+                break
+            step_method, g_prev = method, g_next
+    assert not np.all(np.isfinite(phi))
+    message = re.escape(f"not finite at t = {t_next}")
+    with pytest.raises(EvaluationError, match=message):
+        collections.deque(iter_solution(problem, rule, grid, method=method), maxlen=0)
+    with pytest.raises(EvaluationError, match=message):
+        evaluate_derivative(problem, rule, grid, method=method)
 
 
 @pytest.mark.parametrize(
