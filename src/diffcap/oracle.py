@@ -111,9 +111,12 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
 
         integral = L * int_0^1 d_upper(t - L v) exp(-U v) dv,
 
-    with L the window length and U = L e^w <= 40.  No tolerance-range
-    validation: internal callers derive tolerances that scale with e^{-w}
-    and may legitimately fall below the public floor.
+    with L the window length and U = L e^w <= 40.  A clipped window samples
+    tau = t - L v; a full one samples tau = a + L (1 - v), the same point
+    measured from a, so tau - a keeps its relative precision where data
+    singular at a (d_upper ~ (tau - a)^{-1/2}) is steepest.  No
+    tolerance-range validation: internal callers derive tolerances that
+    scale with e^{-w} and may legitimately fall below the public floor.
     """
     a = problem.a
     if t <= a:
@@ -136,11 +139,18 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
     # target on the unit-interval integral so the scaled error stays <= abs_tol
     inner_tol = _bounded_exp(math.log(abs_tol) - w * q - math.log(abs(c)) - math.log(length))
 
-    def integrand(v: float) -> float:
-        tau = t - length * v
-        if tau < a:
-            tau = a
-        return problem.d_upper(tau) * math.exp(-decay * v)
+    if length == span:  # sampled from a, so tau - a keeps its relative precision
+
+        def integrand(v: float) -> float:
+            return problem.d_upper(a + span * (1.0 - v)) * math.exp(-decay * v)
+
+    else:
+
+        def integrand(v: float) -> float:
+            tau = t - length * v
+            if tau < a:
+                tau = a
+            return problem.d_upper(tau) * math.exp(-decay * v)
 
     raw = _adaptive_integral(integrand, 0.0, 1.0, inner_tol)
     if raw == 0.0:
@@ -195,8 +205,12 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
 
     The weighted folded integrand simplifies analytically to
     phi(-w/q)/q + phi(w/(1-q))/(1-q), which decays like e^{-w}; the range is
-    cut at W_max = 30 - ln(tol) so the tail is far below tol.  The returned
-    value carries an estimated error of at most about 2 tol.
+    cut at W_max = 30 - ln(tol) so the tail is far below tol.  Each branch
+    is integrated on its own in u = e^{-w} over [e^{-W_max}, 1], to tol/2:
+    since du/u = dw these are the same integrals, with the same cut and the
+    same budget for the inner phi values, but in u each branch tends to a
+    constant as u -> 0 instead of decaying over W_max.  The returned value
+    carries an estimated error of at most about 2 tol.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
@@ -205,7 +219,16 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     q = problem.fractional_part
     w_max = 30.0 - math.log(tol)
     branch_tol = tol * min(q, 1.0 - q) / (4.0 * w_max)
-    return _adaptive_integral(lambda w: _folded(problem, w, t, branch_tol), 0.0, w_max, tol)
+    u_min = math.exp(-w_max)
+    minus = _adaptive_integral(
+        lambda u: _phi_integral(problem, math.log(u) / q, t, branch_tol) / (q * u),
+        u_min, 1.0, 0.5 * tol,
+    )
+    plus = _adaptive_integral(
+        lambda u: _phi_integral(problem, -math.log(u) / (1.0 - q), t, branch_tol) / ((1.0 - q) * u),
+        u_min, 1.0, 0.5 * tol,
+    )
+    return minus + plus
 
 
 def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:

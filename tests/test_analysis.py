@@ -152,6 +152,17 @@ def test_ode_profile_is_the_r_ode_column(method, grid):
     assert profile.tolist() == [row.r_ode for row in rows]
 
 
+def test_error_split_holds_on_data_singular_at_a_near_order_3():
+    # a draw of the verify benchmark's pow2.5 cell on which the oracles once
+    # raised OracleError: d_upper ~ (tau - a)^{-1/2} with T near 19
+    alpha, a, T, truth_tol = 2.845472328259458, -0.9096412322340575, 18.979117086358826, 1e-9
+    problem = make_problem("pow2.5", alpha, a=a, T=T)
+    rows = decompose_error(problem, gauss_laguerre_rule(10), uniform_grid(a, T, 6),
+                           method=BACKWARD_EULER, truth_tol=truth_tol)
+    assert len(rows) == 7
+    assert all(abs(row.r_total - row.r_q - row.r_ode) <= 10 * truth_tol for row in rows)
+
+
 def _moved_end_grid(a: float, T: float, index: int, move: str) -> TimeGrid:
     """uniform_grid(a, T, 4) with its point at ``index`` moved by an ulp or by a
     multiple of the slack _check_grid allows each end."""

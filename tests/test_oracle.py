@@ -25,6 +25,7 @@ from diffcap import (
     reference_quadrature,
     signed_prefactor,
 )
+from diffcap import oracle
 from diffcap.oracle import require_d_upper_plus
 from diffcap.quadrature import QuadratureRule
 
@@ -159,6 +160,37 @@ def test_reference_agrees_with_brute_force():
     ref = reference_quadrature(problem, 0.7, 1e-9)
     brute = brute_force_caputo(problem, 0.7, 1e-9)
     assert ref == pytest.approx(brute, abs=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [2.3, 2.7])
+def test_reference_quadrature_meets_its_target_on_data_singular_at_a(alpha):
+    # d_upper ~ (tau - a)^{-1/2}: the full-span inner windows sample tau from
+    # a, so tau - a keeps its relative precision next to the singularity
+    problem = make_problem("pow2.5", alpha)
+    exact = corpus_function("pow2.5", alpha).exact_caputo(0.1)
+    value = reference_quadrature(problem, 0.1, 1e-10)
+    assert abs(value - exact) <= 2.0 * max(1e-10, 5e-13 * abs(exact))
+
+
+class _CountingIntegrate:
+    def __init__(self, module) -> None:
+        self._module = module
+        self.quad_calls = 0
+
+    def quad(self, *args, **kwargs):
+        self.quad_calls += 1
+        return self._module.quad(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name, t", [("pow2", 1.0), ("sin", 0.7)])
+def test_reference_quadrature_takes_one_outer_quad_per_branch(name, t, monkeypatch):
+    # one outer quad per branch in u = e^{-w} made 86 (pow2) and 128 (sin)
+    # quad calls here; the single outer quad over w, whose every node paid for
+    # both branches, made 463 for each
+    counter = _CountingIntegrate(oracle.integrate)
+    monkeypatch.setattr(oracle, "integrate", counter)
+    reference_quadrature(make_problem(name, 0.5), t, 1e-9)
+    assert counter.quad_calls <= 300
 
 
 @pytest.mark.xfail(strict=True, raises=OracleError,

@@ -437,24 +437,26 @@ def test_forcing_is_only_evaluated_inside_the_interval(a, T, n_steps, method, gr
 @pytest.mark.parametrize(
     "a, T, n_steps, graded, k, alpha",
     [(0.0, 1.0, 40, False, 12, 0.9), (0.0, 1.0, 40, True, 12, 0.9), (1e6, 1.0, 1000, False, 12, 0.9)]
-    # chunk edges, and a rule whose extreme modes overflow e^{-w} and e^w
+    # pass edges of the 16-step phi passes, and a rule whose extreme modes
+    # overflow e^{-w} and e^w
     + [(0.0, 1.0, n, True, 12, 0.9) for n in (1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)]
     + [(0.0, 1.0, 2 * _CHUNK + 1, True, 256, 0.96)]
-    # a uniform grid with more distinct rounded step lengths than one chunk keeps
+    # a uniform grid whose rounded step lengths take many distinct values
     + [(-0.0752, 63.4726, 1056, False, 12, 0.9)],
 )
-def test_reused_step_coefficients_never_change_a_step(method, a, T, n_steps, graded, k, alpha):
-    # far from zero the uniform steps differ in their last bits; coefficients
-    # shared between steps of nearly equal length would drift from this loop
+def test_table_passes_match_an_advance_loop_byte_for_byte(method, a, T, n_steps, graded, k, alpha):
+    # a table pass forms each step's (A, Q) from that step's exact length and
+    # steps in the two roundings of advance, so far from zero, where uniform
+    # steps differ in their last bits, its states still equal this loop's
     problem = make_problem("sin", alpha, a=a, T=T)
     grid = graded_grid(a, T, n_steps, 2.0) if graded else uniform_grid(a, T, n_steps)
     _assert_matches_advance_loop(problem, gauss_laguerre_rule(k), grid, method)
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_long_span_that_meets_many_step_lengths_steps_like_advance(method):
-    # 100 equal steps let the stepper take a long span, which then runs into
-    # 300 distinct step lengths, more than one chunk may hold
+def test_equal_then_graded_steps_match_an_advance_loop_byte_for_byte(method):
+    # 100 equal steps, then 300 distinct step lengths: the table passes that
+    # cross from one part of the grid to the other step like this loop
     points = np.concatenate((np.arange(101) / 1024, 100 / 1024 + np.linspace(0.0, 1.0, 301)[1:] ** 2))
     problem = make_problem("sin", 0.9, a=0.0, T=float(points[-1]))
     _assert_matches_advance_loop(problem, gauss_laguerre_rule(12), TimeGrid(points), method)
