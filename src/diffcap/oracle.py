@@ -109,14 +109,14 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
     its fraction v in [0, 1], so every quadrature sample is well conditioned
     no matter how thin the boundary layer is:
 
-        integral = L * int_0^1 d_upper(t - L v) exp(-U v) dv,
+        integral = L * int_0^1 d_upper(lo + L (1 - v)) exp(-U v) dv,
 
-    with L the window length and U = L e^w <= 40.  A clipped window samples
-    tau = t - L v; a full one samples tau = a + L (1 - v), the same point
-    measured from a, so tau - a keeps its relative precision where data
-    singular at a (d_upper ~ (tau - a)^{-1/2}) is steepest.  No
-    tolerance-range validation: internal callers derive tolerances that
-    scale with e^{-w} and may legitimately fall below the public floor.
+    with L the window length, U = L e^w <= 40 and lo = max(t - L, a) its
+    left end (a itself for a window that reaches a).  Samples are measured
+    from lo >= a, so none falls below a, and tau - a keeps its relative
+    precision where data singular at a (d_upper ~ (tau - a)^{-1/2}) is
+    steepest.  No tolerance-range validation: internal callers derive
+    tolerances that scale with e^{-w} and may fall below the public floor.
     """
     a = problem.a
     if t <= a:
@@ -125,8 +125,9 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
     if w > math.log(_CLIP_LENGTHS) - math.log(span):
         length = _CLIP_LENGTHS * math.exp(-w)
         decay = _CLIP_LENGTHS
+        lo = max(t - length, a)
     else:
-        length = span
+        length, lo = span, a
         # this branch means span e^w <= 40 exactly; min only absorbs
         # floating-point fuzz at the branch boundary
         decay = min(span * math.exp(w), _CLIP_LENGTHS)
@@ -139,18 +140,8 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
     # target on the unit-interval integral so the scaled error stays <= abs_tol
     inner_tol = _bounded_exp(math.log(abs_tol) - w * q - math.log(abs(c)) - math.log(length))
 
-    if length == span:  # sampled from a, so tau - a keeps its relative precision
-
-        def integrand(v: float) -> float:
-            return problem.d_upper(a + span * (1.0 - v)) * math.exp(-decay * v)
-
-    else:
-
-        def integrand(v: float) -> float:
-            tau = t - length * v
-            if tau < a:
-                tau = a
-            return problem.d_upper(tau) * math.exp(-decay * v)
+    def integrand(v: float) -> float:
+        return problem.d_upper(lo + length * (1.0 - v)) * math.exp(-decay * v)
 
     raw = _adaptive_integral(integrand, 0.0, 1.0, inner_tol)
     if raw == 0.0:
@@ -173,14 +164,6 @@ def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12
     return _phi_integral(problem, float(w), t, tol)
 
 
-def _folded(problem: DerivativeProblem, w: float, t: float, tol: float) -> float:
-    """phi(-w/q, t)/q + phi(w/(1-q), t)/(1-q), each phi within ``tol``."""
-    q = problem.fractional_part
-    phi_minus = _phi_integral(problem, -w / q, t, tol)
-    phi_plus = _phi_integral(problem, w / (1.0 - q), t, tol)
-    return phi_minus / q + phi_plus / (1.0 - q)
-
-
 def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float) -> np.ndarray:
     """Per-node reference values of e^{-x_k} times the folded integrand at x_k.
 
@@ -196,7 +179,9 @@ def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float)
     split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
     out = np.empty(npoints)
     for k, x in enumerate(rule.nodes):
-        out[k] = _folded(problem, x, t, _bounded_exp(split - coef_log[k]))
+        node_tol = _bounded_exp(split - coef_log[k])
+        out[k] = (_phi_integral(problem, -x / q, t, node_tol) / q
+                  + _phi_integral(problem, x / (1.0 - q), t, node_tol) / (1.0 - q))
     return out
 
 
@@ -281,13 +266,15 @@ def corpus_names() -> tuple[str, ...]:
     return (*_POWER_EXPONENTS, "exp", "sin")
 
 
-def _power_derivative(p: float, order: float, a: float) -> tuple[Callable[[float], float], float | None]:
-    """order-th derivative of (t - a)^p, plus its coefficient for sup-norms.
+def _power_derivative(
+    p: float, order: float, a: float, T: float
+) -> tuple[Callable[[float], float], float | None]:
+    """order-th derivative of (t - a)^p, plus its sup-norm over [a, a + T].
 
     ``order`` may be fractional, which gives the Caputo derivative for
-    p > ceil(order) - 1.  The coefficient is None when the exponent
-    p - order is negative (the derivative is unbounded near a, and infinite
-    at a) and 0 for integer p below the order.
+    p > ceil(order) - 1.  The sup is None when the exponent p - order is
+    negative (the derivative is unbounded near a, and infinite at a) and 0
+    for integer p below the order.
     """
     if p == int(p) and order > p:
         return (lambda t: 0.0), 0.0
@@ -298,20 +285,13 @@ def _power_derivative(p: float, order: float, a: float) -> tuple[Callable[[float
         dt = t - _a
         if dt == 0.0 and _e < 0.0:
             return math.inf
-        try:  # inline rather than _scaled_power: this runs inside nested quad
+        try:  # inline rather than a helper: this runs inside nested quad
             return _c * dt**_e
         except OverflowError:
             return math.copysign(math.inf, _c)
 
-    return deriv, coeff if expo >= 0.0 else None
-
-
-def _scaled_power(c: float, x: float, e: float) -> float:
-    """c * x**e, but +-inf where the power overflows."""
-    try:
-        return c * x**e
-    except OverflowError:
-        return math.copysign(math.inf, c)
+    # |deriv| grows with t - a: its sup is at t - a = T exactly, inf on overflow
+    return deriv, abs(deriv(T, _a=0.0)) if expo >= 0.0 else None
 
 
 def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> TestFunction:
@@ -319,18 +299,14 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
     m = math.ceil(_validate_order(alpha))
     if name in _POWER_EXPONENTS:
         p = _POWER_EXPONENTS[name]
-        d_upper, coeff_m = _power_derivative(p, m, a)
-        d_upper_plus, coeff_m1 = _power_derivative(p, m + 1, a)
+        d_upper, sup = _power_derivative(p, m, a, T)
+        d_upper_plus, sup_plus = _power_derivative(p, m + 1, a, T)
         # the Caputo derivative of (t - a)^p is its order-alpha power-law
         # derivative (zero for integer p below alpha); there is no closed
         # form when the m-th derivative is not integrable at a
         exact = None
         if p == int(p) or p > m - 1:
-            exact, _ = _power_derivative(p, alpha, a)
-        sup = None if coeff_m is None else _scaled_power(abs(coeff_m), T, max(p - m, 0.0))
-        sup_plus = (
-            None if coeff_m1 is None else _scaled_power(abs(coeff_m1), T, max(p - m - 1, 0.0))
-        )
+            exact, _ = _power_derivative(p, alpha, a, T)
         return TestFunction(
             name=name,
             d_upper=d_upper,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -182,19 +183,64 @@ class _CountingIntegrate:
         return self._module.quad(*args, **kwargs)
 
 
-@pytest.mark.parametrize("name, t", [("pow2", 1.0), ("sin", 0.7)])
-def test_reference_quadrature_takes_one_outer_quad_per_branch(name, t, monkeypatch):
+class _CountingForcing:
+    def __init__(self, fn) -> None:
+        self._fn = fn
+        self.calls = 0
+
+    def __call__(self, t: float) -> float:
+        self.calls += 1
+        return self._fn(t)
+
+
+@pytest.mark.parametrize("name, t, max_samples", [("pow2", 1.0, 4000), ("sin", 0.7, 6300)])
+def test_reference_quadrature_takes_one_outer_quad_per_branch(name, t, max_samples, monkeypatch):
     # one outer quad per branch in u = e^{-w} made 86 (pow2) and 128 (sin)
     # quad calls here; the single outer quad over w, whose every node paid for
-    # both branches, made 463 for each
+    # both branches, made 463 for each.  The same calls take 3192 (pow2) and
+    # 5040 (sin) d_upper samples: counts, unlike timings, repeat exactly
     counter = _CountingIntegrate(oracle.integrate)
     monkeypatch.setattr(oracle, "integrate", counter)
-    reference_quadrature(make_problem(name, 0.5), t, 1e-9)
+    problem = make_problem(name, 0.5)
+    forcing = _CountingForcing(problem.d_upper)
+    reference_quadrature(dataclasses.replace(problem, d_upper=forcing), t, 1e-9)
     assert counter.quad_calls <= 300
+    assert forcing.calls <= max_samples
+
+
+@pytest.mark.parametrize("a", [0.0, -3.7, 1e6])
+def test_no_oracle_sample_lies_below_the_left_endpoint(a):
+    # every window is sampled from its left end lo >= a, so data that is
+    # undefined below a (sqrt raises ValueError there) is never read there,
+    # on either side of the clip w = ln 40 - ln(t - a)
+    samples = []
+
+    def d_upper(tau: float) -> float:
+        samples.append(tau)
+        return math.sqrt(tau - a)
+
+    problem = DerivativeProblem(alpha=0.5, a=a, T=1.0, d_upper=d_upper)
+    rule = gauss_laguerre_rule(20)
+    for frac in (1e-9, 1e-3, 0.3, 1.0):
+        t = a + frac
+        edge = math.log(40.0) - math.log(t - a)
+        for w in (edge - 1e-12, edge + 1e-12, -50.0, 0.0, 30.0, 700.0):
+            try:
+                exact_phi(problem, w, t)
+            except OracleError:
+                pass
+        for call in (lambda: exact_combination(problem, rule, t, 1e-9),
+                     lambda: reference_quadrature(problem, t, 1e-9)):
+            try:
+                call()
+            except OracleError:
+                pass
+    assert samples and min(samples) >= a
 
 
 @pytest.mark.xfail(strict=True, raises=OracleError,
-                   reason="the inner quad stops converging once a != 0 (ROADMAP item 6)")
+                   reason="tau - a loses its last digits when a + s rounds at a = -3.7, "
+                          "so the inner quad misses its target (ROADMAP item 9)")
 def test_reference_quadrature_converges_away_from_zero_left_endpoint():
     # at a = 0 the same t - a = 0.092 gives 4.6002..., within 2e-13 of the closed form
     problem = make_problem("pow2.5", 2.7, a=-3.7, T=2.3)
@@ -293,6 +339,15 @@ def test_corpus_derivatives_are_order_specific():
     fn = corpus_function("sin", 0.5)  # first derivative cos(t - a)
     assert fn.d_upper(0.0) == pytest.approx(1.0)
     assert fn.d_upper_plus(0.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_power_sup_norms_come_from_the_derivative_at_the_interval_length():
+    # taken at t - a = T exactly: (a + T) - a = 0.30000000000000004 - 0.1
+    # would read 0.4000000000000001
+    assert corpus_function("pow2", 0.5, a=0.1, T=0.2).d_upper_sup == 0.4
+    assert corpus_function("pow2", 0.5, T=0.2).d_upper_sup == 0.4
+    # an integer power below the order has a zero derivative
+    assert corpus_function("pow2", 2.5).d_upper_sup == 0.0
 
 
 def test_low_regularity_power_has_singular_next_derivative():
