@@ -170,7 +170,7 @@ def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
 def _forcing(d_upper, t: float) -> float:
     try:
         g = float(d_upper(t))
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, TypeError, ValueError) as exc:
         raise EvaluationError(f"d_upper failed at t = {t}: {exc}") from exc
     if not math.isfinite(g):
         raise EvaluationError(f"d_upper returned a non-finite value at t = {t}")
@@ -183,7 +183,7 @@ def iter_solution(
     grid: TimeGrid,
     method: str = BACKWARD_EULER,
     *,
-    weights=None,
+    folded: bool = False,
 ) -> Iterator[np.ndarray | float]:
     """Yield the 2K phi values (W_minus block, then W_plus) at every grid index.
 
@@ -193,11 +193,11 @@ def iter_solution(
     the first step is backward Euler whatever the method (a Rannacher
     start), so no method reads d_upper(a) or keeps a start-up error.
 
-    With ``weights`` (2K finite numbers, else InvalidParameterError) it
-    yields the float weights . phi instead, the first one included.  That
-    stream steps only the modes that move over this grid: the frozen slow
-    and stiff modes ride in one summed column each (see _collapse), so its
-    values match the dot of each phi to rounding.
+    With ``folded=True`` it yields the float derivative values instead, the
+    first one included: each phi folded by the rule's a_k e^{x_k} / q and
+    / (1 - q).  That stream steps only the modes that move over this grid:
+    the frozen slow and stiff modes ride in one summed column each (see
+    _collapse), so its values match the fold of each phi to rounding.
 
     After the first step, which goes alone, the grid is walked in passes of
     _BLOCK = 32 steps on the folded stream and _CHUNK = 16 on the phi stream.
@@ -212,12 +212,13 @@ def iter_solution(
     _check_grid(problem, grid)
     system = build_system(problem, rule)
     points, last = grid.points, len(grid.points) - 1
-    if weights is None:
-        exponentials, nominal = _exponentials(system), None
-    else:
-        weights = _check_weights(weights, len(system.exponents))
+    if folded:
+        coef, q = quadrature_coefficients(rule), problem.fractional_part
         h_min, nominal = _scan_steps(points)
-        exponentials, weights = _collapse(system, method, weights, points, h_min)
+        fold = np.concatenate((coef / q, coef / (1.0 - q)))
+        exponentials, weights = _collapse(system, method, fold, points, h_min)
+    else:
+        exponentials, nominal, weights = _exponentials(system), None, None
     c, d_upper = system.c, problem.d_upper
     phi = np.zeros(len(exponentials[0]))
     phi.setflags(write=False)
@@ -267,16 +268,6 @@ def _table_pass(phi, exponentials, c: float, method: str, times: list, f, weight
         phi = np.multiply(phi, amp, out=amp)
         phi += drive
     return rows if weights is None else rows @ weights, phi.copy()
-
-
-def _check_weights(weights, n: int) -> np.ndarray:
-    try:
-        weights = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"weights must be {n} finite numbers: {exc}") from exc
-    if weights.shape != (n,) or not np.all(np.isfinite(weights)):
-        raise InvalidParameterError(f"weights must be {n} finite numbers, got shape {weights.shape}")
-    return weights
 
 
 def _scan_steps(points: np.ndarray) -> tuple[float, float | None]:
@@ -341,11 +332,7 @@ def evaluate_derivative(
     Gauss-Laguerre sum over nodes of a_k e^{x_k} times the per-node state
     combination, with the a_k e^{x_k} products formed in log space.
     """
-    coef = quadrature_coefficients(rule)
-    q = problem.fractional_part
-    # state_combination's per-node fold, taken into the weights: one dot per point
-    fold = np.concatenate((coef / q, coef / (1.0 - q)))
-    # method and weights by keyword: perfbench/tracing.py reads a second
-    # positional argument as K*
-    values = iter_solution(problem, rule, grid, method=method, weights=fold)
+    # iter_solution's folded stream, method by keyword: perfbench/tracing.py
+    # reads a second positional argument as K*
+    values = iter_solution(problem, rule, grid, method=method, folded=True)
     return np.fromiter(values, float, len(grid.points))

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -649,3 +650,30 @@ def test_output_is_identical_in_fresh_processes(argv, capsys):
         for _ in range(2)
     ]
     assert streams[0] == streams[1] == in_process
+
+
+def _readme_block(after: str, fence: str) -> str:
+    # the first block fenced by ``fence`` after the README line ``after``
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rest = text[text.index(after + "\n"):]
+    start = rest.index(fence + "\n") + len(fence) + 1
+    return rest[start:rest.index("\n```\n", start) + 1]
+
+
+def test_readme_example_config_writes_its_grid(tmp_path, monkeypatch, capsys):
+    # a "#" only starts a comment line, so a comment after a value would
+    # reach the parser as part of that value
+    text = _readme_block("Example config:", "```")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "example.cfg").write_text(text, encoding="utf-8")
+    assert main(["example.cfg"]) == EXIT_OK, capsys.readouterr().err
+    n_steps = int(re.search(r"^N = (\d+)$", text, re.M).group(1))
+    output = re.search(r"^output = (\S+)$", text, re.M).group(1)
+    assert len((tmp_path / output).read_text(encoding="utf-8").splitlines()) == n_steps + 2
+
+
+def test_readme_quick_start_runs():
+    namespace = {}
+    exec(_readme_block("## Library quick start", "```python"), namespace)
+    values, grid = namespace["values"], namespace["grid"]
+    assert len(values) == len(grid.points) and values[0] == 0.0
