@@ -599,17 +599,38 @@ def test_graded_table_passes_match_the_per_step_fold(name, method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("k", [6, 12, 64])
-@pytest.mark.parametrize("n_steps", [1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 1000])
-def test_grid_far_from_zero_folds_each_step(n_steps, k, method):
+def test_grid_far_from_zero_folds_each_step(method):
     # steps spread by 7e-8 of T/N at N = 1000: a nominal h would move the
     # values by 1e-9; table passes of either stream, partial and single
     problem = make_problem("pow2", 0.5, a=1e6, T=1.0)
+    for k in (6, 12, 64):
+        rule = gauss_laguerre_rule(k)
+        for n_steps in (1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 1000):
+            grid = uniform_grid(1e6, 1.0, n_steps)
+            values = evaluate_derivative(problem, rule, grid, method=method)
+            folded = _per_step_fold(problem, rule, grid, method)
+            assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(folded))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("k", [6, 64])
+@pytest.mark.parametrize("n_steps", [1, 2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("a", [0.0, 1e6], ids=["graded", "uniform-far-from-zero"])
+def test_folded_stream_off_the_block_path_is_the_dot_of_each_phi(a, n_steps, k, method):
+    # the folded and phi streams both take table passes on grids that are
+    # not uniform to within 3e-11 of T/N; the folded one steps the frozen modes
+    # summed into two columns, so each value is the dot of the rule's fold with
+    # each phi to rounding.  At a = 1e6, T = 0.9 no N > 1 here gives steps that
+    # round alike
+    problem = make_problem("sin", 0.9, a=a, T=0.9)
     rule = gauss_laguerre_rule(k)
-    grid = uniform_grid(1e6, 1.0, n_steps)
-    values = evaluate_derivative(problem, rule, grid, method=method)
-    folded = _per_step_fold(problem, rule, grid, method)
-    assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(folded))
+    grid = uniform_grid(a, 0.9, n_steps) if a else graded_grid(a, 0.9, n_steps, 2.0)
+    assert n_steps == 1 or _scan_steps(grid.points)[1] is None
+    coef, q = quadrature_coefficients(rule), problem.fractional_part
+    weights = np.concatenate((coef / q, coef / (1.0 - q)))
+    folded = np.fromiter(iter_solution(problem, rule, grid, method=method, folded=True), float)
+    per_phi = np.array([weights.dot(phi) for phi in iter_solution(problem, rule, grid, method=method)])
+    assert np.max(np.abs(folded - per_phi)) <= 1e-13 * np.max(np.abs(per_phi))
 
 
 def _outcome(call):
