@@ -147,6 +147,7 @@ class TimeGrid:
     """
 
     points: np.ndarray
+    steps: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays theirs
@@ -161,9 +162,11 @@ class TimeGrid:
         if not np.all(np.isfinite(steps)):
             raise InvalidParameterError("grid steps must be finite")
         pts.setflags(write=False)
+        steps.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "steps", steps)
 
-    @property  # perfbench/tracing.py reads n_steps as each traced run's N
+    @property  # iter_solution and perfbench/tracing.py read n_steps as N
     def n_steps(self) -> int:
         return len(self.points) - 1
 

@@ -33,7 +33,6 @@ Lubich & Schaedle, SIAM J. Sci. Comput. 24(1), 2002).
 from __future__ import annotations
 
 import math
-from operator import sub
 from typing import Iterator
 
 import numpy as np
@@ -48,11 +47,10 @@ TRAPEZOIDAL = "trapezoidal"
 METHODS = (BACKWARD_EULER, TRAPEZOIDAL)
 
 
-def _check_step(steps: list, parts: float = 1.0) -> None:
-    # parts = 2: the half step must not round to 0 either; only a lone step can be nan
-    if not (min(steps) / parts > 0.0 and max(steps) < math.inf):
-        bad = next(h for h in steps if not (math.isfinite(h) and h / parts > 0.0))
-        raise InvalidParameterError(f"step size must be positive, got {float(bad)}")
+def _check_step(h: float, parts: float = 1.0) -> None:
+    # parts = 2: the half step must not round to 0 either
+    if not (h / parts > 0.0 and h < math.inf):
+        raise InvalidParameterError(f"step size must be positive, got {float(h)}")
 
 
 def backward_euler_log_amplification(w, h: float):
@@ -61,7 +59,7 @@ def backward_euler_log_amplification(w, h: float):
     Always finite and strictly negative, even where the factor itself
     underflows double precision.
     """
-    _check_step([h])
+    _check_step(h)
     return -np.logaddexp(0.0, np.asarray(w, dtype=float) + math.log(h))
 
 
@@ -81,7 +79,7 @@ def _collapse(system: DiffusiveSystem, method: str, weights: np.ndarray, points:
     h e^w >= 1e17) or -1 (trapezoidal; A + 1 = 4 / (h e^w) compounds over N
     steps, so h e^w >= 4e17 N).  Each set steps as its member of largest phi,
     the others' weights scaled onto it, so no column overflows where its
-    members do not.  h_min is the smallest step of ``points``.
+    members do not.  h_min is the smallest of the grid's steps.
     """
     w, q = system.exponents, system.fractional_part
     u, e_minus_qw, e_rest = _exponentials(system)
@@ -111,12 +109,11 @@ def _coefficients(exponentials, method: str, steps):
     s > 0 is finite, no overflowed or underflowed exponential gives nan.
     """
     theta = 0.0 if method == BACKWARD_EULER else 1.0
-    _check_step(steps, 1.0 + theta)
-    s = np.array(steps, dtype=float)[:, None] / (1.0 + theta)
+    s = np.asarray(steps, dtype=float)[:, None] / (1.0 + theta)
     u, e_minus_qw, e_rest = exponentials
     total = s + u
     slow = s / total  # 1 - B
-    # in place, so a pass's coefficients cost three tables at most
+    # in place, but broadcasting buffers: a pass peaks near four of its tables
     if method == BACKWARD_EULER:
         amp = np.divide(u, total, out=total)
         np.subtract(1.0, slow, out=amp, where=slow < 0.5)
@@ -149,6 +146,7 @@ def advance(
     ends; backward Euler has theta = 0 and so ignores ``g_prev``.
     """
     _check_method(method)
+    _check_step(h, 2.0 if method == TRAPEZOIDAL else 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         [amp], [gain] = _coefficients(_exponentials(system), method, [h])
     f = g_next + g_prev if method == TRAPEZOIDAL else g_next
@@ -169,7 +167,7 @@ def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
 
 def _forcing(d_upper, t: float) -> float:
     try:
-        g = float(d_upper(t))
+        g = float(+d_upper(t))  # + rejects text, which float() would parse
     except (OverflowError, ZeroDivisionError, TypeError, ValueError) as exc:
         raise EvaluationError(f"d_upper failed at t = {t}: {exc}") from exc
     if not math.isfinite(g):
@@ -206,15 +204,19 @@ def iter_solution(
     once per call; every other pass is a table pass (see _table_pass).  So
     at most one pass's forcing, values and tables are alive at a time, and a
     sweep costs O(N K) time and O(K) memory at any grid length.  A phi or
-    value that is not finite raises EvaluationError naming its grid time.
+    value that is not finite raises EvaluationError naming its grid time, a
+    trapezoidal half step that rounds to 0 InvalidParameterError up front.
     """
     _check_method(method)
     _check_grid(problem, grid)
     system = build_system(problem, rule)
-    points, last = grid.points, len(grid.points) - 1
+    points, steps, last = grid.points, grid.steps, grid.n_steps
+    if method == TRAPEZOIDAL and last > 1:  # the first step is backward Euler
+        _check_step(steps[1:].min(), 2.0)
     if folded:
         coef, q = quadrature_coefficients(rule), problem.fractional_part
-        h_min, nominal = _scan_steps(points)
+        h, h_min = (points[-1] - points[0]) / last, steps.min()
+        nominal = h if max(steps.max() - h, h - h_min) <= _UNIFORM_SPREAD * h < math.inf else None
         fold = np.concatenate((coef / q, coef / (1.0 - q)))
         exponentials, weights = _collapse(system, method, fold, points, h_min)
     else:
@@ -231,13 +233,13 @@ def iter_solution(
         # a block pass takes eight blocks, which share its errstate and finite check
         size = 1 if lo == 0 else _CHUNK if weights is None else _BLOCK if tables is None else 8 * _BLOCK
         hi = min(lo + size, last)
-        times = points[lo : hi + 1].tolist()
-        g = [g_prev] + [_forcing(d_upper, t) for t in times[1:]]
+        times = points[lo + 1 : hi + 1].tolist()
+        g = [g_prev] + [_forcing(d_upper, t) for t in times]
         g_prev, g = g[-1], np.array(g)
         f = g[1:] + g[:-1] if step_method == TRAPEZOIDAL else g[1:]
         with np.errstate(over="ignore", invalid="ignore"):
             if lo == 0 or tables is None:
-                values, phi = _table_pass(phi, exponentials, c, step_method, times, f, weights)
+                values, phi = _table_pass(phi, exponentials, c, step_method, steps[lo:hi], f, weights)
             else:
                 fold, kernel, carry, decay = tables
                 values = np.empty(hi - lo)
@@ -248,38 +250,25 @@ def iter_solution(
                     if lo + j + _BLOCK < last:
                         phi = decay * phi + f_j[::-1].dot(carry)
         if not np.isfinite(values).all():
-            bad = next(t for t, v in zip(times[1:], values) if not np.isfinite(v).all())
+            bad = next(t for t, v in zip(times, values) if not np.isfinite(v).all())
             raise EvaluationError(f"the solution is not finite at t = {bad}")
         yield from values if weights is None else values.tolist()
         step_method, lo = method, hi
 
 
-def _table_pass(phi, exponentials, c: float, method: str, times: list, f, weights):
-    """The states after each step between ``times``, or their folded values, and the last state.
+def _table_pass(phi, exponentials, c: float, method: str, steps, f, weights):
+    """The states after each of ``steps``, or their folded values, and the last state.
 
-    The (A, Q) of the steps form two tables; each step overwrites its A row
-    with phi A + Q c f_i in the two roundings of ``advance``, so the states
+    The (A, Q) of these grid steps form two tables; each step overwrites its A
+    row with phi A + Q c f_i in the two roundings of ``advance``, so the states
     (rows of one array) are byte-identical to its loop.
     """
-    steps = list(map(sub, times[1:], times))
     rows, drives = _coefficients(exponentials, method, steps)
     drives *= (c * f)[:, None]
     for amp, drive in zip(rows, drives):
         phi = np.multiply(phi, amp, out=amp)
         phi += drive
     return rows if weights is None else rows @ weights, phi.copy()
-
-
-def _scan_steps(points: np.ndarray) -> tuple[float, float | None]:
-    """The smallest step, and T/N if every step lies within _UNIFORM_SPREAD of it, else None."""
-    last = len(points) - 1
-    h = float(points[-1] - points[0]) / last
-    h_min, uniform = math.inf, True
-    for lo in range(0, last, 1024):  # a slice at a time, so no O(N) temporary
-        steps = np.diff(points[lo : lo + 1025])
-        h_min = min(h_min, float(steps.min()))
-        uniform = uniform and not np.max(np.abs(steps - h)) > _UNIFORM_SPREAD * h
-    return h_min, h if uniform else None
 
 
 def _block_tables(exponentials, c: float, method: str, h: float, weights: np.ndarray, rows: int):

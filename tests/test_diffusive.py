@@ -207,6 +207,26 @@ def test_grid_copies_its_points():
     assert grid.points.tolist() == [0.0, 0.5, 1.0]
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [uniform_grid(1e6, 1.0, 1000), graded_grid(-3.7, 2.3, 33, 2.0), TimeGrid([0.0, 5e-324, 1.0, 1e300])],
+    ids=["uniform-far-from-zero", "graded", "custom"],
+)
+def test_grid_steps_are_the_read_only_differences_of_its_points(grid):
+    assert grid.steps.tobytes() == np.diff(grid.points).tobytes()
+    assert len(grid.steps) == grid.n_steps
+    assert not grid.steps.flags.writeable
+    with pytest.raises(ValueError):
+        grid.steps[0] = 1.0
+
+
+def test_grid_steps_survive_edits_to_the_callers_points():
+    points = np.array([0.0, 0.5, 1.0])
+    grid = TimeGrid(points)
+    points[1] = 0.25
+    assert grid.steps.tolist() == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("make_grid", [uniform_grid, graded_grid])
 @pytest.mark.parametrize("n_steps", [3, 7, 9])
 def test_grids_near_the_top_of_double_range_warn_nothing(make_grid, n_steps):

@@ -4,11 +4,12 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffcap import (
     BACKWARD_EULER,
@@ -34,7 +35,7 @@ from diffcap import (
 )
 from diffcap import steppers
 from diffcap.oracle import corpus_names
-from diffcap.steppers import _BLOCK, _CHUNK, _scan_steps, quadrature_coefficients, state_combination
+from diffcap.steppers import _BLOCK, _CHUNK, quadrature_coefficients, state_combination
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -387,8 +388,10 @@ def test_forcing_arithmetic_errors_report_offending_time(d_upper, T, bad_t, caus
         (lambda t: None, TypeError),
         (lambda t: 2j * t, TypeError),
         (lambda t: math.sqrt(t - 0.5), ValueError),
+        (lambda t: "2.0", TypeError),
+        (lambda t: b"2", TypeError),
     ],
-    ids=["array", "none", "complex", "sqrt-domain"],
+    ids=["array", "none", "complex", "sqrt-domain", "text", "bytes"],
 )
 def test_forcing_that_is_not_a_number_reports_offending_time(d_upper, cause):
     problem = DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=d_upper)
@@ -398,6 +401,41 @@ def test_forcing_that_is_not_a_number_reports_offending_time(d_upper, cause):
         with pytest.raises(EvaluationError, match=re.escape("t = 0.25")) as info:
             run()
         assert isinstance(info.value.__cause__, cause)
+
+
+def test_boolean_forcing_steps_as_zero_or_one():
+    # a step forcing such as t > 0.5 is a number, 0 or 1
+    rule, grid = gauss_laguerre_rule(6), uniform_grid(0.0, 1.0, 8)
+    step = DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: t > 0.5)
+    ramp = DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: 1.0 if t > 0.5 else 0.0)
+    got = evaluate_derivative(step, rule, grid)
+    assert got.tobytes() == evaluate_derivative(ramp, rule, grid).tobytes()
+
+
+@pytest.mark.parametrize("folded", [False, True], ids=["phi", "folded"])
+def test_trapezoidal_half_step_that_rounds_to_zero_raises_before_any_yield(folded):
+    # 5e-324 / 2 rounds to 0; the first step is backward Euler, so only a later one counts
+    calls = []
+    problem = DerivativeProblem(alpha=0.5, a=0.0, T=1e-323, d_upper=lambda t: calls.append(t) or 1.0)
+    rule, grid = gauss_laguerre_rule(6), TimeGrid([0.0, 5e-324, 1e-323])
+    stream = iter_solution(problem, rule, grid, method=TRAPEZOIDAL, folded=folded)
+    with pytest.raises(InvalidParameterError, match=r"^step size must be positive, got 5e-324$"):
+        next(stream)
+    with pytest.raises(InvalidParameterError, match=r"got 5e-324$"):
+        evaluate_derivative(problem, rule, grid, method=TRAPEZOIDAL)
+    assert calls == []
+    assert evaluate_derivative(problem, rule, grid).shape == (3,)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_grid_of_one_smallest_positive_step_runs(method):
+    # the lone first step is backward Euler whatever the method, so its half never rounds
+    problem = DerivativeProblem(alpha=0.5, a=0.0, T=5e-324, d_upper=lambda t: 1.0)
+    rule, grid = gauss_laguerre_rule(6), TimeGrid([0.0, 5e-324])
+    values = evaluate_derivative(problem, rule, grid, method=method)
+    phis = list(iter_solution(problem, rule, grid, method=method))
+    assert values[0] == 0.0 and np.isfinite(values).all()
+    assert len(phis) == 2 and np.isfinite(phis[1]).all()
 
 
 def test_unknown_method_rejected():
@@ -625,12 +663,57 @@ def test_folded_stream_off_the_block_path_is_the_dot_of_each_phi(a, n_steps, k, 
     problem = make_problem("sin", 0.9, a=a, T=0.9)
     rule = gauss_laguerre_rule(k)
     grid = uniform_grid(a, 0.9, n_steps) if a else graded_grid(a, 0.9, n_steps, 2.0)
-    assert n_steps == 1 or _scan_steps(grid.points)[1] is None
+    h = (grid.points[-1] - grid.points[0]) / n_steps
+    assert n_steps == 1 or np.max(np.abs(grid.steps - h)) > 3e-11 * h
     coef, q = quadrature_coefficients(rule), problem.fractional_part
     weights = np.concatenate((coef / q, coef / (1.0 - q)))
     folded = np.fromiter(iter_solution(problem, rule, grid, method=method, folded=True), float)
     per_phi = np.array([weights.dot(phi) for phi in iter_solution(problem, rule, grid, method=method)])
     assert np.max(np.abs(folded - per_phi)) <= 1e-13 * np.max(np.abs(per_phi))
+
+
+@st.composite
+def _perturbed_grids(draw):
+    # steps T/N, each moved by a relative amount up to +-1e-10, so that the
+    # largest |step - T/N| falls on both sides of 3e-11 T/N
+    n_steps = draw(st.integers(min_value=2, max_value=80))
+    a, T = draw(st.floats(min_value=-5.0, max_value=5.0)), draw(st.floats(min_value=0.1, max_value=10.0))
+    scale = draw(st.floats(min_value=0.0, max_value=1e-10))
+    moves = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n_steps, max_size=n_steps))
+    steps = (T / n_steps) * (1.0 + scale * np.array(moves))
+    return TimeGrid(a + np.concatenate(([0.0], np.cumsum(steps))))
+
+
+def _one_step_moved(move, n_steps=8):
+    # one step of [0, 1] moved by a relative ``move``, the others by -move / (N - 1),
+    # so only the shortest (move < 0) or the longest (move > 0) step strays from T/N
+    moves = np.full(n_steps, -move / (n_steps - 1))
+    moves[3] = move
+    return TimeGrid(np.concatenate(([0.0], np.cumsum((1.0 + moves) / n_steps))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    grid=_perturbed_grids(),
+    alpha=st.sampled_from([0.04, 0.5, 1.5, 2.6]),
+    method=st.sampled_from(METHODS),
+)
+@example(grid=_one_step_moved(-5e-11), alpha=0.5, method=BACKWARD_EULER)
+@example(grid=_one_step_moved(5e-11), alpha=0.5, method=TRAPEZOIDAL)
+@example(grid=_one_step_moved(-2e-11), alpha=0.5, method=BACKWARD_EULER)
+def test_block_passes_run_exactly_where_every_step_lies_within_3e_11_of_t_over_n(grid, alpha, method):
+    points = grid.points
+    h = float(points[-1] - points[0]) / grid.n_steps
+    spread = np.max(np.abs(np.diff(points) - h))
+    problem = make_problem("sin", alpha, a=float(points[0]), T=float(points[-1] - points[0]))
+    rule = gauss_laguerre_rule(6)
+    with mock.patch.object(steppers, "_block_tables", wraps=steppers._block_tables) as tables:
+        values = evaluate_derivative(problem, rule, grid, method=method)
+    assert tables.call_count == (spread <= 3e-11 * h)
+    # a block pass takes every step as T/N, which moves the values by about
+    # the relative spread of the steps (at most 1.07 times it in 3,000 draws)
+    folded = _per_step_fold(problem, rule, grid, method)
+    assert np.max(np.abs(values - folded)) <= (1e-12 + 2.0 * spread / h) * np.max(np.abs(folded))
 
 
 def _outcome(call):
@@ -694,8 +777,8 @@ def test_folded_stream_steps_only_the_modes_that_move(method, monkeypatch):
 def test_trapezoidal_stiff_bound_grows_with_the_step_count(method):
     # the trapezoidal A = -1 + 4 / (h e^w) compounds over the N steps, so a mode
     # with 1e17 <= h_min e^w < 4e17 N freezes under backward Euler only
-    points = uniform_grid(0.0, 1.0, 10).points
-    h_min = _scan_steps(points)[0]
+    grid = uniform_grid(0.0, 1.0, 10)
+    points, h_min = grid.points, grid.steps.min()
     w = np.log([1e16, 2e17, 1e18, 3.9e18, 5e18, 1e20]) - math.log(h_min)  # h_min e^w; 4e17 N = 4e18
     system = DiffusiveSystem(fractional_part=0.5, c=1.0, exponents=w)
     (u, _, _), _ = steppers._collapse(system, method, np.ones(len(w)), points, h_min)
