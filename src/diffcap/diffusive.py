@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidOrderError, InvalidParameterError
-from .quadrature import QuadratureRule, _check_count
+from .quadrature import QuadratureRule, _check_count, quadrature_coefficients
 
 INTEGER_ORDER_TOL = 1e-12
 
@@ -91,29 +91,31 @@ class DerivativeProblem:
         object.__setattr__(self, "end", self.a + self.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusiveSystem:
     """Transformed nodes and coefficients for one (problem, rule) pair.
 
     ``exponents`` holds the 2K node exponents w, the W_minus block followed by
-    the W_plus block; this is the layout solver states use.
+    the W_plus block; this is the layout solver states use.  ``weights`` holds
+    the fold weights a_k e^{x_k} / q and a_k e^{x_k} / (1 - q) in that layout,
+    so the derivative is ``weights @ phi``.
     """
 
     fractional_part: float
     c: float
     exponents: np.ndarray
-
-    @property
-    def npoints(self) -> int:
-        return len(self.exponents) // 2
+    weights: np.ndarray
 
 
 def build_system(problem: DerivativeProblem, rule: QuadratureRule) -> DiffusiveSystem:
     """Assemble the diffusive system for ``problem`` at the nodes of ``rule``."""
     q = problem.fractional_part
     w = np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q)))
+    coef = quadrature_coefficients(rule)
+    fold = np.concatenate((coef / q, coef / (1.0 - q)))
     w.setflags(write=False)
-    return DiffusiveSystem(fractional_part=q, c=problem.prefactor, exponents=w)
+    fold.setflags(write=False)
+    return DiffusiveSystem(fractional_part=q, c=problem.prefactor, exponents=w, weights=fold)
 
 
 @dataclass(frozen=True)
@@ -131,19 +133,20 @@ def stiffness_report(system: DiffusiveSystem) -> tuple[StiffnessRow, ...]:
     exp(x_max / (1 - q)); it can vastly exceed double range.
     """
     log10e = 1.0 / math.log(10.0)
-    rows = []
+    rows, npoints = [], len(system.exponents) // 2
     for i, w in enumerate(system.exponents):
         w = float(w)
-        rows.append(StiffnessRow(k=i % system.npoints + 1, w=w, log10_lipschitz=w * log10e))
+        rows.append(StiffnessRow(k=i % npoints + 1, w=w, log10_lipschitz=w * log10e))
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing evaluation times t_0 < ... < t_N.
 
     The scheme runs on any grid (the stepping is one-step); the a-priori
-    ODE-error bound is only stated for uniform ones.
+    ODE-error bound is only stated for uniform ones.  Grids, like rules and
+    systems, compare and hash by identity.
     """
 
     points: np.ndarray

@@ -28,7 +28,7 @@ _NEWTON_MAX_ITER = 100
 _RECURRENCE = tuple((2.0 * j + 1.0, float(j), j + 1.0) for j in range(MAX_NODES + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights of a Gauss-Laguerre rule (weight function e^{-w}).
 
@@ -139,3 +139,8 @@ def truncate_rule(rule: QuadratureRule, k_star: int) -> QuadratureRule:
     if k_star == rule.npoints:
         return rule
     return QuadratureRule(k_star, rule.nodes[:k_star], rule.log_weights[:k_star])
+
+
+def quadrature_coefficients(rule: QuadratureRule) -> np.ndarray:
+    """a_k e^{x_k} for every node, via exp(ln a_k + x_k)."""
+    return np.exp(rule.log_weights + rule.nodes)

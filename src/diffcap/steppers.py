@@ -11,9 +11,8 @@ the forcing sum f_n = g_n + theta g_{n-1}, theta = 0 or 1.  |w| reaches
 several hundreds or more, so the coefficients take a form in which an
 overflowed exponential gives no nan.
 
-The derivative itself is the weighted sum over nodes, assembled from
-ln a_k + x_k (the weights underflow and e^{x_k} overflows long before their
-product stops being moderate).
+The derivative itself is the weighted sum ``system.weights @ phi`` over the
+2K modes; build_system forms those fold weights from ln a_k + x_k.
 
 One loop walks the grid with a state of 2K numbers, or, for the folded
 stream, of the modes that move at this grid's steps and span plus one
@@ -40,7 +39,7 @@ import numpy as np
 from .diffusive import DerivativeProblem, DiffusiveSystem, TimeGrid, build_system
 from .errors import EvaluationError, InvalidParameterError
 from .quadrature import QuadratureRule
-from .quadrature import truncate_rule  # noqa: F401 - perfbench/tracing.py rebinds this name
+from .quadrature import quadrature_coefficients, truncate_rule  # noqa: F401 - perfbench rebinds both
 
 BACKWARD_EULER = "backward-euler"
 TRAPEZOIDAL = "trapezoidal"
@@ -70,7 +69,7 @@ def _exponentials(system: DiffusiveSystem):
         return np.exp(-w), np.exp(-q * w), np.exp((1.0 - q) * w)
 
 
-def _collapse(system: DiffusiveSystem, method: str, weights: np.ndarray, points: np.ndarray, h_min: float):
+def _collapse(system: DiffusiveSystem, method: str, points: np.ndarray, h_min: float):
     """The exponentials and weights of the modes that move, plus a column per frozen set.
 
     A mode is frozen when dropping its term moves its phi by under 1e-17
@@ -81,7 +80,7 @@ def _collapse(system: DiffusiveSystem, method: str, weights: np.ndarray, points:
     the others' weights scaled onto it, so no column overflows where its
     members do not.  h_min is the smallest of the grid's steps.
     """
-    w, q = system.exponents, system.fractional_part
+    w, q, weights = system.exponents, system.fractional_part, system.weights
     u, e_minus_qw, e_rest = _exponentials(system)
     log_h = math.log(h_min) - (math.log(4.0 * (len(points) - 1)) if method == TRAPEZOIDAL else 0.0)
     slow = w <= math.log(1e-17) - math.log(points[-1] - points[0])
@@ -154,10 +153,10 @@ def advance(
 
 
 def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
-    # rounding room: 1e-12 of the span plus 4 ulps of the largest |t|, as
-    # uniform_grid's times miss a + n h by up to 2.2 ulps of that
-    t0, t_end = grid.points[0], grid.points[-1]
-    slack = 1e-12 * (t_end - t0) + 4.0 * math.ulp(max(abs(t0), abs(t_end)))
+    # 1e-12 of the span (scaled first: t_end - t0 may overflow) plus 4 ulps of the largest
+    # |t|, as uniform_grid's times miss a + n h by up to 2.2 ulps; Python floats never warn
+    t0, t_end = float(grid.points[0]), float(grid.points[-1])
+    slack = 1e-12 * t_end - 1e-12 * t0 + 4.0 * math.ulp(max(abs(t0), abs(t_end)))
     if abs(t0 - problem.a) > slack or abs(t_end - problem.end) > slack:
         raise InvalidParameterError(
             f"grid endpoints [{t0}, {t_end}] do not match the "
@@ -192,10 +191,10 @@ def iter_solution(
     start), so no method reads d_upper(a) or keeps a start-up error.
 
     With ``folded=True`` it yields the float derivative values instead, the
-    first one included: each phi folded by the rule's a_k e^{x_k} / q and
-    / (1 - q).  That stream steps only the modes that move over this grid:
-    the frozen slow and stiff modes ride in one summed column each (see
-    _collapse), so its values match the fold of each phi to rounding.
+    first one included: each phi folded with the system's weights.  That
+    stream steps only the modes that move over this grid: the frozen slow and
+    stiff modes ride in one summed column each (see _collapse), so its values
+    match the fold of each phi to rounding.
 
     After the first step, which goes alone, the grid is walked in passes of
     _BLOCK = 32 steps on the folded stream and _CHUNK = 16 on the phi stream.
@@ -214,11 +213,9 @@ def iter_solution(
     if method == TRAPEZOIDAL and last > 1:  # the first step is backward Euler
         _check_step(steps[1:].min(), 2.0)
     if folded:
-        coef, q = quadrature_coefficients(rule), problem.fractional_part
         h, h_min = (points[-1] - points[0]) / last, steps.min()
         nominal = h if max(steps.max() - h, h - h_min) <= _UNIFORM_SPREAD * h < math.inf else None
-        fold = np.concatenate((coef / q, coef / (1.0 - q)))
-        exponentials, weights = _collapse(system, method, fold, points, h_min)
+        exponentials, weights = _collapse(system, method, points, h_min)
     else:
         exponentials, nominal, weights = _exponentials(system), None, None
     c, d_upper = system.c, problem.d_upper
@@ -292,11 +289,6 @@ def _block_tables(exponentials, c: float, method: str, h: float, weights: np.nda
     lag = np.subtract.outer(np.arange(rows), np.arange(rows))
     kernel = np.where(lag >= 0, (carry @ weights)[lag], 0.0)
     return fold, kernel, carry, amp**rows
-
-
-def quadrature_coefficients(rule: QuadratureRule) -> np.ndarray:
-    """a_k e^{x_k} for every node, via exp(ln a_k + x_k)."""
-    return np.exp(rule.log_weights + rule.nodes)
 
 
 def state_combination(q: float, phi: np.ndarray) -> np.ndarray:

@@ -94,7 +94,8 @@ def test_criterion_02_stepper_exactness_on_constant_forcing():
     for lam_h in (1e-3, 1.0, 1e3):
         w = math.log(lam_h / h)
         system = DiffusiveSystem(
-            fractional_part=0.5, c=signed_prefactor(0.5), exponents=np.array([w, w])
+            fractional_part=0.5, c=signed_prefactor(0.5), exponents=np.array([w, w]),
+            weights=np.ones(2),
         )
         lam = math.exp(w)
         b = system.c * math.exp(w * system.fractional_part) * g

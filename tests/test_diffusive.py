@@ -16,6 +16,7 @@ from diffcap import (
     fractional_part,
     signed_prefactor,
     stiffness_report,
+    truncate_rule,
     uniform_grid,
 )
 
@@ -87,7 +88,7 @@ def test_node_sets_scale_exactly(alpha, k):
     assert np.allclose(-w_minus * q, rule.nodes, rtol=1e-14)
     assert np.all(w_minus < 0.0)
     assert np.all(w_plus > 0.0)
-    assert len(w_minus) == len(w_plus) == system.npoints == k
+    assert len(w_minus) == len(w_plus) == k
 
 
 def test_stiffness_single_node():
@@ -243,3 +244,19 @@ def test_grids_near_the_top_of_double_range_warn_nothing(make_grid, n_steps):
 def test_grid_rejects_non_monotone_points():
     with pytest.raises(InvalidParameterError):
         TimeGrid(points=np.array([0.0, 0.5, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: uniform_grid(0.0, 1.0, 4),
+        lambda: truncate_rule(gauss_laguerre_rule(5), 3),
+        lambda: build_system(_problem(0.5), gauss_laguerre_rule(5)),
+    ],
+    ids=["grid", "rule", "system"],
+)
+def test_value_types_compare_and_hash_by_identity(make):
+    # their array fields have no truth value, so field-wise == and hash would raise
+    one, other = make(), make()
+    assert one == one and one != other
+    assert hash(one) == hash(one) and len({one, other, one}) == 2

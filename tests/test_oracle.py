@@ -407,3 +407,16 @@ def test_require_d_upper_plus_raises_when_missing():
     problem = DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: 1.0)
     with pytest.raises(UnsupportedOperationError):
         require_d_upper_plus(problem)
+
+
+def test_adaptive_integral_rejects_an_error_estimate_above_its_target(monkeypatch):
+    # quad reports success (no fourth output) with an estimate far above the target
+    class _Stub:
+        @staticmethod
+        def quad(*args, **kwargs):
+            return 1.0, 1.0
+
+    monkeypatch.setattr(oracle, "integrate", _Stub)
+    with pytest.raises(OracleError, match="reached error estimate"):
+        oracle._adaptive_integral(math.exp, 0.0, 1.0, 1e-10)
+

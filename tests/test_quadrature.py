@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from diffcap import InvalidParameterError, gauss_laguerre_rule, truncate_rule
+from diffcap import quadrature
 from diffcap.quadrature import MAX_NODES, _rule, _scaled_laguerre
 
 
@@ -195,3 +196,10 @@ def test_rule_matches_forty_digit_recomputation(k):
             worst_log_weight = max(worst_log_weight, float(abs(log_weight - exact)))
     assert worst_node <= 2e-13
     assert worst_log_weight <= 5e-11
+
+
+def test_newton_that_runs_out_of_iterations_raises(monkeypatch):
+    # the unmemoized generator, so no rule of this process is built with one iteration
+    monkeypatch.setattr(quadrature, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(InvalidParameterError, match="did not converge"):
+        quadrature._rule.__wrapped__(8)

@@ -46,6 +46,7 @@ def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
         fractional_part=fractional_part(alpha),
         c=signed_prefactor(alpha),
         exponents=np.array([w, w]),
+        weights=np.ones(2),
     )
 
 
@@ -138,7 +139,7 @@ def test_step_coefficients_match_mpmath():
     worst_a = worst_q = 0.0
     with mpmath.workdps(40):
         for q in (0.04, 0.5, 0.96):
-            system = DiffusiveSystem(fractional_part=q, c=1.0, exponents=ws)
+            system = DiffusiveSystem(fractional_part=q, c=1.0, exponents=ws, weights=np.ones(len(ws)))
             for h in np.logspace(-8.0, 1.0, 10):
                 h = float(h)
                 for method in METHODS:
@@ -190,7 +191,7 @@ def test_bounded_forcing_respects_maximum_principle():
     limit = np.maximum(
         0.0, bound_m * abs(system.c) * np.exp(system.exponents * (system.fractional_part - 1.0))
     )
-    phi = np.zeros(2 * system.npoints)
+    phi = np.zeros(len(system.exponents))
     for _ in range(60):
         h = float(rng.uniform(0.01, 1.5))
         g = float(rng.uniform(-bound_m, bound_m))
@@ -470,6 +471,18 @@ def test_grid_endpoint_check_scales_with_the_interval():
         evaluate_derivative(problem, gauss_laguerre_rule(3), uniform_grid(0.0, 5e-13, 4))
 
 
+def test_grid_endpoint_check_spanning_the_double_range_neither_overflows_nor_passes():
+    # t_end - t0 = 2e308 overflows; the problem ends at 0, the grid at 1e308,
+    # so the check rejects the grid, warns nothing and calls d_upper never
+    calls = []
+    problem = DerivativeProblem(alpha=0.5, a=-1e308, T=1e308, d_upper=lambda t: calls.append(t) or 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="do not match"):
+            evaluate_derivative(problem, gauss_laguerre_rule(3), TimeGrid([-1e308, 0.0, 1e308]))
+    assert calls == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     a=st.floats(min_value=-10.0, max_value=10.0),
@@ -522,7 +535,7 @@ def test_equal_then_graded_steps_match_an_advance_loop_byte_for_byte(method):
 
 def _assert_matches_advance_loop(problem, rule, grid, method):
     system = build_system(problem, rule)
-    phi = np.zeros(2 * system.npoints)
+    phi = np.zeros(len(system.exponents))
     expected = [phi]
     step_method, g_prev = BACKWARD_EULER, 0.0
     with warnings.catch_warnings():
@@ -657,19 +670,35 @@ def test_grid_far_from_zero_folds_each_step(method):
 def test_folded_stream_off_the_block_path_is_the_dot_of_each_phi(a, n_steps, k, method):
     # the folded and phi streams both take table passes on grids that are
     # not uniform to within 3e-11 of T/N; the folded one steps the frozen modes
-    # summed into two columns, so each value is the dot of the rule's fold with
-    # each phi to rounding.  At a = 1e6, T = 0.9 no N > 1 here gives steps that
+    # summed into two columns, so each value is the dot of the system's weights
+    # with each phi to rounding.  At a = 1e6, T = 0.9 no N > 1 here gives steps that
     # round alike
     problem = make_problem("sin", 0.9, a=a, T=0.9)
     rule = gauss_laguerre_rule(k)
     grid = uniform_grid(a, 0.9, n_steps) if a else graded_grid(a, 0.9, n_steps, 2.0)
     h = (grid.points[-1] - grid.points[0]) / n_steps
     assert n_steps == 1 or np.max(np.abs(grid.steps - h)) > 3e-11 * h
-    coef, q = quadrature_coefficients(rule), problem.fractional_part
-    weights = np.concatenate((coef / q, coef / (1.0 - q)))
+    weights = build_system(problem, rule).weights
     folded = np.fromiter(iter_solution(problem, rule, grid, method=method, folded=True), float)
     per_phi = np.array([weights.dot(phi) for phi in iter_solution(problem, rule, grid, method=method)])
     assert np.max(np.abs(folded - per_phi)) <= 1e-13 * np.max(np.abs(per_phi))
+
+
+@pytest.mark.parametrize("alpha", [0.04, 0.5, 1.3, 2.3])
+@pytest.mark.parametrize("k", [1, 6, 64])
+def test_system_weights_fold_phi_as_the_coefficients_fold_the_state_combination(k, alpha):
+    # the system's 2K weights against the K coefficients times the per-node
+    # combination phi(-x/q)/q + phi(x/(1-q))/(1-q), on every phi of a run
+    problem, rule = make_problem("sin", alpha), gauss_laguerre_rule(k)
+    system = build_system(problem, rule)
+    assert not system.weights.flags.writeable
+    with pytest.raises(ValueError):
+        system.weights[0] = 1.0
+    coef, q = quadrature_coefficients(rule), problem.fractional_part
+    phis = list(iter_solution(problem, rule, uniform_grid(0.0, 1.0, 40)))
+    folded = np.array([system.weights @ phi for phi in phis])
+    reference = np.array([coef @ state_combination(q, phi) for phi in phis])
+    assert np.max(np.abs(folded - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 @st.composite
@@ -780,8 +809,8 @@ def test_trapezoidal_stiff_bound_grows_with_the_step_count(method):
     grid = uniform_grid(0.0, 1.0, 10)
     points, h_min = grid.points, grid.steps.min()
     w = np.log([1e16, 2e17, 1e18, 3.9e18, 5e18, 1e20]) - math.log(h_min)  # h_min e^w; 4e17 N = 4e18
-    system = DiffusiveSystem(fractional_part=0.5, c=1.0, exponents=w)
-    (u, _, _), _ = steppers._collapse(system, method, np.ones(len(w)), points, h_min)
+    system = DiffusiveSystem(fractional_part=0.5, c=1.0, exponents=w, weights=np.ones(len(w)))
+    (u, _, _), _ = steppers._collapse(system, method, points, h_min)
     moving = 4 if method == TRAPEZOIDAL else 1
     assert u.tobytes() == np.r_[np.exp(-w[:moving]), 0.0].tobytes()
 
