@@ -12,8 +12,9 @@ Three reference routes are provided:
 * ``brute_force_caputo`` evaluates the defining weakly singular integral
   after a substitution that removes the endpoint singularity.
 
-All three share one globally adaptive integrator (an embedded Gauss-Kronrod
-pair with absolute-error targets) so they owe nothing to the quadrature or
+All three share one globally adaptive integrator, QUADPACK with absolute-error
+targets (Gauss-Kronrod pairs, and QAWS for the algebraic weights of the
+reference's two outer integrals), so they owe nothing to the quadrature or
 stepping modules they are used to check; ``scipy.integrate`` is imported on
 the first quadrature, not with this module.  A small corpus of test functions
 with hand-written derivatives and closed-form values rounds out the module.
@@ -80,10 +81,14 @@ def _validate_time(problem: DerivativeProblem, t: float) -> float:
 _REL_FLOOR = 5e-13
 
 
-def _adaptive_integral(f: Callable[[float], float], lo: float, hi: float, abs_tol: float) -> float:
+def _adaptive_integral(
+    f: Callable[[float], float], lo: float, hi: float, abs_tol: float, **weight
+) -> float:
+    """quad of f over [lo, hi] to abs_tol; ``weight`` (weight=, wvar=) goes to quad."""
     if hi <= lo:
         return 0.0
-    result = integrate.quad(f, lo, hi, epsabs=abs_tol, epsrel=_REL_FLOOR, limit=200, full_output=1)
+    result = integrate.quad(f, lo, hi, epsabs=abs_tol, epsrel=_REL_FLOOR, limit=200,
+                            full_output=1, **weight)
     value, abserr = result[0], result[1]
     if len(result) > 3:
         raise OracleError(f"adaptive integration on [{lo}, {hi}] failed: {result[3]}")
@@ -102,51 +107,57 @@ def _bounded_exp(log_value: float) -> float:
     return max(math.exp(log_value), _TOL_FLOOR)
 
 
+def _window(
+    problem: DerivativeProblem, t: float, length: float, decay: float, log_tol: float
+) -> float:
+    """int_0^1 d_upper(lo + length (1 - v)) exp(-decay v) dv, to exp(log_tol).
+
+    Times ``length``, this is W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau
+    on [lo, t], for decay = length r <= 40: callers clip the window to 40
+    decay lengths.  A full window (length == t - a) keeps lo = a exactly, so
+    tau - a keeps its precision where data singular at a is steepest; a
+    clipped one starts at lo = max(t - length, a), and at length 0 every
+    sample lies at tau = t.
+    """
+    a = problem.a
+    lo = a if length == t - a else max(t - length, a)
+    g = problem.d_upper
+    return _adaptive_integral(lambda v: g(lo + length * (1.0 - v)) * math.exp(-decay * v),
+                              0.0, 1.0, _bounded_exp(log_tol))
+
+
 def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float) -> float:
-    """phi(w, t) = c e^{w q} * integral_a^t d_upper(tau) exp(-(t - tau) e^w) dtau.
+    """phi(w, t) = c e^{w q} W(e^w), W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau.
 
-    The window is clipped to [max(a, t - 40 e^{-w}), t] and parametrized by
-    its fraction v in [0, 1], so every quadrature sample is well conditioned
-    no matter how thin the boundary layer is:
-
-        integral = L * int_0^1 d_upper(lo + L (1 - v)) exp(-U v) dv,
-
-    with L the window length, U = L e^w <= 40 and lo = max(t - L, a) its
-    left end (a itself for a window that reaches a).  Samples are measured
-    from lo >= a, so none falls below a, and tau - a keeps its relative
-    precision where data singular at a (d_upper ~ (tau - a)^{-1/2}) is
-    steepest.  No tolerance-range validation: internal callers derive
-    tolerances that scale with e^{-w} and may fall below the public floor.
+    W is one ``_window`` of length L = min(t - a, 40 e^{-w}), so every
+    quadrature sample is well conditioned no matter how thin the boundary
+    layer is.  Where the window is clipped, ln L = ln 40 - w is carried in
+    logs and the magnitude is formed from ln 40 - (1 - q) w: it stays right
+    where 40 e^{-w} underflows (phi ~ c d_upper(t) e^{-(1 - q) w} is not
+    small when q is near 1), and w = +-inf keep their limit 0.  No
+    tolerance-range validation: internal callers derive tolerances that scale
+    with e^{-w} and may fall below the public floor.
     """
     a = problem.a
     if t <= a:
         return 0.0
     span = t - a
-    if w > math.log(_CLIP_LENGTHS) - math.log(span):
-        length = _CLIP_LENGTHS * math.exp(-w)
-        decay = _CLIP_LENGTHS
-        lo = max(t - length, a)
-    else:
-        length, lo = span, a
-        # this branch means span e^w <= 40 exactly; min only absorbs
-        # floating-point fuzz at the branch boundary
-        decay = min(span * math.exp(w), _CLIP_LENGTHS)
-    if length == 0.0:
-        # layer thinner than double resolution; the value underflows any
-        # representable target
-        return 0.0
     q = problem.fractional_part
     c = problem.prefactor
+    if w > math.log(_CLIP_LENGTHS) - math.log(span):
+        length, decay = _CLIP_LENGTHS * math.exp(-w), _CLIP_LENGTHS
+        log_scale = math.log(_CLIP_LENGTHS) - (1.0 - q) * w  # q w + ln L
+    else:
+        # this branch means span e^w <= 40 exactly; min only absorbs
+        # floating-point fuzz at the branch boundary
+        length, decay = span, min(span * math.exp(w), _CLIP_LENGTHS)
+        log_scale = q * w + math.log(span)
+    log_scale += math.log(abs(c))
     # target on the unit-interval integral so the scaled error stays <= abs_tol
-    inner_tol = _bounded_exp(math.log(abs_tol) - w * q - math.log(abs(c)) - math.log(length))
-
-    def integrand(v: float) -> float:
-        return problem.d_upper(lo + length * (1.0 - v)) * math.exp(-decay * v)
-
-    raw = _adaptive_integral(integrand, 0.0, 1.0, inner_tol)
+    raw = _window(problem, t, length, decay, math.log(abs_tol) - log_scale)
     if raw == 0.0:
         return 0.0
-    magnitude = math.exp(math.log(abs(c)) + w * q + math.log(length) + math.log(abs(raw)))
+    magnitude = math.exp(log_scale + math.log(abs(raw)))
     return -magnitude if (c < 0.0) != (raw < 0.0) else magnitude
 
 
@@ -188,32 +199,50 @@ def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float)
 def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:
     """High-accuracy derivative value via the diffusive integral itself.
 
-    The weighted folded integrand simplifies analytically to
-    phi(-w/q)/q + phi(w/(1-q))/(1-q), which decays like e^{-w}; the range is
-    cut at W_max = 30 - ln(tol) so the tail is far below tol.  Each branch
-    is integrated on its own in u = e^{-w} over [e^{-W_max}, 1], to tol/2:
-    since du/u = dw these are the same integrals, with the same cut and the
-    same budget for the inner phi values, but in u each branch tends to a
-    constant as u -> 0 instead of decaying over W_max.  The returned value
-    carries an estimated error of at most about 2 tol.
+    The derivative is int phi(w, t) dw over the whole w line, with
+    phi(w, t) = c e^{q w} W(e^w) as in ``_phi_integral``.  Split at
+    e^w = 1/s, s = min(t - a, 1), with rho = s e^w on the slow side and
+    y = 1/rho on the stiff side:
+
+        c s^{-q} [int_0^1 rho^{q-1} W(rho/s) drho
+                  + int_0^1 y^{-q} (W(1/(s y))/y) dy].
+
+    Both bracketed functions are smooth on [0, 1] and finite at 0 (W(0) is
+    the integral of d_upper; W/y tends to s d_upper(t)), so each is one QAWS
+    integral (``weight="alg"``) with no cut of the w range.  Each takes a
+    quarter of tol, and the W values of each side another quarter; a stiff
+    window clipped to 40 decay lengths has length 40 s y, and W/y is
+    40 s times its unit integral, so y = 0 samples tau = t alone.  The
+    returned value carries an estimated error of at most about tol.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
     if t == problem.a:
         return 0.0
-    q = problem.fractional_part
-    w_max = 30.0 - math.log(tol)
-    branch_tol = tol * min(q, 1.0 - q) / (4.0 * w_max)
-    u_min = math.exp(-w_max)
-    minus = _adaptive_integral(
-        lambda u: _phi_integral(problem, math.log(u) / q, t, branch_tol) / (q * u),
-        u_min, 1.0, 0.5 * tol,
-    )
-    plus = _adaptive_integral(
-        lambda u: _phi_integral(problem, -math.log(u) / (1.0 - q), t, branch_tol) / ((1.0 - q) * u),
-        u_min, 1.0, 0.5 * tol,
-    )
-    return minus + plus
+    q, c = problem.fractional_part, problem.prefactor
+    span = t - problem.a
+    s = min(span, 1.0)
+    # ln of each outer target, tol s^q / (4 |c|)
+    log_target = math.log(tol) + q * math.log(s) - math.log(4.0 * abs(c))
+    log_slow = log_target + math.log(q)
+    log_stiff = log_target + math.log(1.0 - q)
+    clip = _CLIP_LENGTHS * s  # 40 decay lengths of e^{-(t - tau) r}: clip / rho = clip y
+
+    def slow(rho: float) -> float:
+        length = span if rho * span <= clip else clip / rho
+        return length * _window(problem, t, length, length * rho / s,
+                                log_slow - math.log(length))
+
+    def stiff(y: float) -> float:
+        if span <= clip * y:
+            return span / y * _window(problem, t, span, span / (s * y),
+                                      log_stiff + math.log(y) - math.log(span))
+        return clip * _window(problem, t, clip * y, _CLIP_LENGTHS, log_stiff - math.log(clip))
+
+    target = _bounded_exp(log_target)
+    bracket = (_adaptive_integral(slow, 0.0, 1.0, target, weight="alg", wvar=(q - 1.0, 0.0))
+               + _adaptive_integral(stiff, 0.0, 1.0, target, weight="alg", wvar=(-q, 0.0)))
+    return c * (bracket / s**q)
 
 
 def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:
