@@ -39,18 +39,25 @@ def _validate_order(alpha: float) -> float:
 
 
 def fractional_part(alpha: float) -> float:
-    """Fractional offset alpha - ceil(alpha) + 1, always in (0, 1).
+    """Fractional offset alpha - ceil(alpha) + 1 = alpha - floor(alpha), in (0, 1).
 
-    Equals alpha itself for 0 < alpha < 1.  Integer alpha is rejected.
+    Formed as alpha - floor(alpha), which is exact: it is alpha itself for
+    0 < alpha < 1, and Sterbenz's lemma covers alpha > 1.  Integer alpha is
+    rejected.
     """
     alpha = _validate_order(alpha)
-    return alpha - math.ceil(alpha) + 1.0
+    return alpha - math.floor(alpha)
 
 
 def signed_prefactor(alpha: float) -> float:
-    """The forcing prefactor (-1)^floor(alpha) * sin(alpha*pi) / pi."""
-    alpha = _validate_order(alpha)
-    return (-1.0) ** math.floor(alpha) * math.sin(alpha * math.pi) / math.pi
+    """The forcing prefactor (-1)^floor(alpha) * sin(alpha*pi) / pi.
+
+    It equals sin(q pi) / pi > 0, q the fractional part, and is formed as
+    sin(pi min(q, 1 - q)) / pi with min(q, 1 - q) exact; a rounded alpha*pi
+    would carry a relative error of about 1e-16 / |alpha - round(alpha)|.
+    """
+    q = fractional_part(alpha)
+    return math.sin(math.pi * min(q, 1.0 - q)) / math.pi
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ Three reference routes are provided:
   after a substitution that removes the endpoint singularity.
 
 All three share one globally adaptive integrator, QUADPACK with absolute-error
-targets (Gauss-Kronrod pairs, and QAWS for the algebraic weights of the
-reference's two outer integrals), so they owe nothing to the quadrature or
+targets (Gauss-Kronrod pairs, and QAWS for the algebraic weights at both ends
+of the reference's outer integral), so they owe nothing to the quadrature or
 stepping modules they are used to check; ``scipy.integrate`` is imported on
 the first quadrature, not with this module.  A small corpus of test functions
 with hand-written derivatives and closed-form values rounds out the module.
@@ -200,20 +200,24 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     """High-accuracy derivative value via the diffusive integral itself.
 
     The derivative is int phi(w, t) dw over the whole w line, with
-    phi(w, t) = c e^{q w} W(e^w) as in ``_phi_integral``.  Split at
-    e^w = 1/s, s = min(t - a, 1), with rho = s e^w on the slow side and
-    y = 1/rho on the stiff side:
+    phi(w, t) = c e^{q w} W(e^w) as in ``_phi_integral``.  In the logistic
+    variable x, e^w = x / ((1 - x) s) with s = min(t - a, 1), so that
+    dw = dx / (x (1 - x)) and x = 1/2 is e^w = 1/s:
 
-        c s^{-q} [int_0^1 rho^{q-1} W(rho/s) drho
-                  + int_0^1 y^{-q} (W(1/(s y))/y) dy].
+        c s^{-q} int_0^1 x^{q-1} (1 - x)^{-q} F(x) dx,  F(x) = W(r) / (1 - x),
 
-    Both bracketed functions are smooth on [0, 1] and finite at 0 (W(0) is
-    the integral of d_upper; W/y tends to s d_upper(t)), so each is one QAWS
-    integral (``weight="alg"``) with no cut of the w range.  Each takes a
-    quarter of tol, and the W values of each side another quarter; a stiff
-    window clipped to 40 decay lengths has length 40 s y, and W/y is
-    40 s times its unit integral, so y = 0 samples tau = t alone.  The
-    returned value carries an estimated error of at most about tol.
+    r = x / ((1 - x) s).  F is smooth on [0, 1] and finite at both ends
+    (F(0) = W(0) is the integral of d_upper, F(1) = s d_upper(t)), so this
+    is one QAWS integral (``weight="alg"``) with no cut of the w range.
+    (1 - x) F(0) is taken out in closed form, c int x^{q-1} (1 - x)^{1-q} dx
+    = 1 - q, so the exponent q - 1, which QAWS rounds as (q - 1) + 1,
+    weights a function that vanishes at 0; both terms use the same F(0), so
+    its error cancels to first order.  The outer integral takes a quarter of
+    tol and the F values the rest: c int x^{q-1} (1 - x)^{-q} dx = 1, so an
+    F error delta moves the value by delta s^{-q}.  A window clipped to 40
+    decay lengths has length 40 s (1 - x) / x, and F is 40 s / x times its
+    unit integral, so x = 1 samples tau = t alone.  The returned value
+    carries an estimated error of at most about tol.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
@@ -222,27 +226,22 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     q, c = problem.fractional_part, problem.prefactor
     span = t - problem.a
     s = min(span, 1.0)
-    # ln of each outer target, tol s^q / (4 |c|)
-    log_target = math.log(tol) + q * math.log(s) - math.log(4.0 * abs(c))
-    log_slow = log_target + math.log(q)
-    log_stiff = log_target + math.log(1.0 - q)
-    clip = _CLIP_LENGTHS * s  # 40 decay lengths of e^{-(t - tau) r}: clip / rho = clip y
+    log_scaled = math.log(tol) + q * math.log(s)  # ln(tol s^q)
+    log_f = log_scaled + math.log(0.75)
+    clip = _CLIP_LENGTHS * s  # 40 decay lengths of e^{-(t - tau) r}: clip (1 - x) / x
 
-    def slow(rho: float) -> float:
-        length = span if rho * span <= clip else clip / rho
-        return length * _window(problem, t, length, length * rho / s,
-                                log_slow - math.log(length))
+    def f(x: float) -> float:
+        if span * x <= clip * (1.0 - x):
+            return span / (1.0 - x) * _window(problem, t, span, span * x / ((1.0 - x) * s),
+                                              log_f + math.log(1.0 - x) - math.log(span))
+        return clip / x * _window(problem, t, clip * (1.0 - x) / x, _CLIP_LENGTHS,
+                                  log_f + math.log(x) - math.log(clip))
 
-    def stiff(y: float) -> float:
-        if span <= clip * y:
-            return span / y * _window(problem, t, span, span / (s * y),
-                                      log_stiff + math.log(y) - math.log(span))
-        return clip * _window(problem, t, clip * y, _CLIP_LENGTHS, log_stiff - math.log(clip))
-
-    target = _bounded_exp(log_target)
-    bracket = (_adaptive_integral(slow, 0.0, 1.0, target, weight="alg", wvar=(q - 1.0, 0.0))
-               + _adaptive_integral(stiff, 0.0, 1.0, target, weight="alg", wvar=(-q, 0.0)))
-    return c * (bracket / s**q)
+    f0 = f(0.0)
+    rest = _adaptive_integral(lambda x: f(x) - (1.0 - x) * f0, 0.0, 1.0,
+                              _bounded_exp(log_scaled - math.log(4.0 * c)),
+                              weight="alg", wvar=(q - 1.0, -q))
+    return ((1.0 - q) * f0 + c * rest) / s**q
 
 
 def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -53,6 +54,27 @@ def test_prefactor_positive_and_shift_invariant(alpha):
     assert c > 0.0
     assert c == pytest.approx(math.sin(fractional_part(alpha) * math.pi) / math.pi, rel=1e-12)
     assert signed_prefactor(alpha + 1.0) == pytest.approx(c, rel=1e-12)
+
+
+@given(valid_orders)
+def test_fractional_part_is_the_exact_offset_from_the_floor(alpha):
+    assert fractional_part(alpha) == alpha - math.floor(alpha)
+
+
+@given(st.floats(min_value=1e-11, max_value=1.0 - 1e-11))
+def test_fractional_part_of_an_order_below_one_is_the_order_itself(alpha):
+    assert fractional_part(alpha) == alpha
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+@pytest.mark.parametrize("n, sign", [(0, 1), (1, -1), (1, 1), (2, -1), (2, 1), (5, -1), (5, 1)])
+def test_signed_prefactor_matches_40_digits_near_integer_orders(n, sign, k):
+    # sin(alpha pi) from a rounded alpha pi would be off by about 1e-16 / 10^-k
+    # relative; the exact offset min(q, 1 - q) keeps a few ulps at every k
+    alpha = n + sign * 10.0**-k
+    with mpmath.workdps(40):
+        exact = abs(mpmath.sinpi(mpmath.mpf(alpha))) / mpmath.pi
+    assert signed_prefactor(alpha) == pytest.approx(float(exact), rel=4 * 2.0**-52, abs=0.0)
 
 
 def _problem(alpha):
