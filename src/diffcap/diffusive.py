@@ -16,6 +16,7 @@ once they would overflow).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,8 +68,12 @@ class DerivativeProblem:
     ``d_upper`` supplies the ceil(alpha)-th derivative of the target function
     (the scheme is driven by it, never by the function itself).
     ``d_upper_plus`` optionally supplies the next derivative, needed only for
-    the a-priori ODE-error constant.  The float order, its derived constants
-    and the end a + T are computed once, on construction.
+    the a-priori ODE-error constant.  ``singular_part`` optionally declares
+    the power-law part of the data at a: the pair (sigma, r) states
+    d_upper(a + u) = u^sigma r(u) for 0 < u <= T, with sigma > -1 and r
+    finite at u = 0.  Only the oracles read it; the scheme never does.  The
+    float order, its derived constants and the end a + T are computed once,
+    on construction.
     """
 
     alpha: float
@@ -76,6 +81,7 @@ class DerivativeProblem:
     T: float
     d_upper: Callable[[float], float]
     d_upper_plus: Callable[[float], float] | None = None
+    singular_part: tuple[float, Callable[[float], float]] | None = None
     ceil_order: int = field(init=False)
     fractional_part: float = field(init=False)
     prefactor: float = field(init=False)
@@ -91,6 +97,16 @@ class DerivativeProblem:
             raise InvalidParameterError(
                 f"interval end a + T overflows, got a = {self.a}, T = {self.T}"
             )
+        part = self.singular_part
+        if part is not None:
+            sigma, r = part if isinstance(part, tuple) and len(part) == 2 else (None, None)
+            if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma) and sigma > -1.0
+                    and callable(r)):
+                raise InvalidParameterError(
+                    "singular_part must be (sigma, r) with finite sigma > -1 and callable r, "
+                    f"got {part!r}"
+                )
+            object.__setattr__(self, "singular_part", (float(sigma), r))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "ceil_order", math.ceil(alpha))
         object.__setattr__(self, "fractional_part", fractional_part(alpha))

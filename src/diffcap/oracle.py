@@ -13,15 +13,17 @@ Three reference routes are provided:
   after a substitution that removes the endpoint singularity.
 
 All three share one globally adaptive integrator, QUADPACK with absolute-error
-targets (Gauss-Kronrod pairs, and QAWS for the algebraic weights at both ends
-of the reference's outer integral), so they owe nothing to the quadrature or
-stepping modules they are used to check; ``scipy.integrate`` is imported on
-the first quadrature, not with this module.  A small corpus of test functions
-with hand-written derivatives and closed-form values rounds out the module.
+targets (Gauss-Kronrod pairs, and QAWS for algebraic weights: at both ends of
+the reference's outer integral, and at a where a problem declares the power
+law of its data there), so they owe nothing to the quadrature or stepping
+modules they are used to check; ``scipy.integrate`` is imported on the first
+quadrature, not with this module.  A small corpus of test functions with
+hand-written derivatives and closed-form values rounds out the module.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 from dataclasses import dataclass
@@ -107,6 +109,16 @@ def _bounded_exp(log_value: float) -> float:
     return max(math.exp(log_value), _TOL_FLOOR)
 
 
+def _scaled(raw: float, log_factor: float) -> float:
+    """raw e^{log_factor}, formed in logs; +-inf where it leaves double range."""
+    if raw == 0.0:
+        return 0.0
+    try:
+        return math.copysign(math.exp(log_factor + math.log(abs(raw))), raw)
+    except OverflowError:
+        return math.copysign(math.inf, raw)
+
+
 def _window(
     problem: DerivativeProblem, t: float, length: float, decay: float, log_tol: float
 ) -> float:
@@ -117,9 +129,20 @@ def _window(
     decay lengths.  A full window (length == t - a) keeps lo = a exactly, so
     tau - a keeps its precision where data singular at a is steepest; a
     clipped one starts at lo = max(t - length, a), and at length 0 every
-    sample lies at tau = t.
+    sample lies at tau = t.  Where the problem declares d_upper(a + u) =
+    u^sigma r(u), a full window is length^sigma times a QAWS integral of
+    r(length (1 - v)) e^{-decay v} against the weight (1 - v)^sigma, so
+    QUADPACK need not bisect toward the singularity at tau = a; length^sigma
+    is carried in logs, and so is the target it divides.
     """
     a = problem.a
+    if length == t - a and problem.singular_part is not None:
+        sigma, r = problem.singular_part
+        log_factor = sigma * math.log(length)
+        raw = _adaptive_integral(lambda v: r(length * (1.0 - v)) * math.exp(-decay * v),
+                                 0.0, 1.0, _bounded_exp(log_tol - log_factor),
+                                 weight="alg", wvar=(0.0, sigma))
+        return _scaled(raw, log_factor)
     lo = a if length == t - a else max(t - length, a)
     g = problem.d_upper
     return _adaptive_integral(lambda v: g(lo + length * (1.0 - v)) * math.exp(-decay * v),
@@ -154,11 +177,7 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
         log_scale = q * w + math.log(span)
     log_scale += math.log(abs(c))
     # target on the unit-interval integral so the scaled error stays <= abs_tol
-    raw = _window(problem, t, length, decay, math.log(abs_tol) - log_scale)
-    if raw == 0.0:
-        return 0.0
-    magnitude = math.exp(log_scale + math.log(abs(raw)))
-    return -magnitude if (c < 0.0) != (raw < 0.0) else magnitude
+    return _scaled(_window(problem, t, length, decay, math.log(abs_tol) - log_scale), log_scale)
 
 
 def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12) -> float:
@@ -230,6 +249,7 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     log_f = log_scaled + math.log(0.75)
     clip = _CLIP_LENGTHS * s  # 40 decay lengths of e^{-(t - tau) r}: clip (1 - x) / x
 
+    @functools.cache  # QAWS samples x = 0, x = 1 and shared subinterval ends again
     def f(x: float) -> float:
         if span * x <= clip * (1.0 - x):
             return span / (1.0 - x) * _window(problem, t, span, span * x / ((1.0 - x) * s),
@@ -250,6 +270,11 @@ def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10)
     The weak endpoint singularity is removed by the substitution
     tau = t - sigma^{1/(m - alpha)}, m = ceil(alpha), which turns the
     integral into a plain one of the upper derivative along a warped time.
+    Where the problem declares d_upper(a + u) = u^p r(u), that substitution
+    covers only the half next to t, each half to tol/2: the half next to a,
+    with u = (t - a) v, is mu (t - a)^{mu + p} times a QAWS integral of
+    (1 - v)^{mu - 1} r((t - a) v) against v^p on [0, 1/2], mu = m - alpha,
+    and that factor is carried in logs.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
@@ -264,7 +289,16 @@ def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10)
         tau = min(max(tau, a), t)
         return problem.d_upper(tau)
 
-    return _adaptive_integral(integrand, 0.0, upper, tol * gamma) / gamma
+    if problem.singular_part is None or t == a:
+        return _adaptive_integral(integrand, 0.0, upper, tol * gamma) / gamma
+    p, r = problem.singular_part
+    span = t - a
+    log_factor = (mu + p) * math.log(span) + math.log(mu)
+    near_a = _adaptive_integral(lambda v: (1.0 - v) ** (mu - 1.0) * r(span * v), 0.0, 0.5,
+                                _bounded_exp(math.log(0.5 * tol * gamma) - log_factor),
+                                weight="alg", wvar=(p, 0.0))
+    near_t = _adaptive_integral(integrand, 0.0, upper * 0.5**mu, 0.5 * tol * gamma)
+    return (_scaled(near_a, log_factor) + near_t) / gamma
 
 
 # --- test corpus -----------------------------------------------------------
@@ -276,7 +310,8 @@ class TestFunction:
 
     ``d_upper`` is the ceil(alpha)-th derivative, ``d_upper_plus`` the next
     one, and ``exact_caputo`` the closed-form derivative where one exists.
-    Exact sup-norms over [a, a + T] are carried where they are trivial.
+    Exact sup-norms over [a, a + T] are carried where they are trivial, and
+    ``singular_part`` is the ``DerivativeProblem`` field of the same name.
     """
 
     name: str
@@ -285,6 +320,7 @@ class TestFunction:
     exact_caputo: Callable[[float], float] | None
     d_upper_sup: float | None = None
     d_upper_plus_sup: float | None = None
+    singular_part: tuple[float, Callable[[float], float]] | None = None
 
 
 _POWER_EXPONENTS = {"pow1": 1.0, "pow2": 2.0, "pow3": 3.0, "pow2.5": 2.5}
@@ -332,9 +368,13 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
         # the Caputo derivative of (t - a)^p is its order-alpha power-law
         # derivative (zero for integer p below alpha); there is no closed
         # form when the m-th derivative is not integrable at a
-        exact = None
+        exact = singular = None
         if p == int(p) or p > m - 1:
             exact, _ = _power_derivative(p, alpha, a, T)
+        if p != int(p) and p > m - 1:
+            # d_upper(a + u) = coeff u^{p - m}, integrable at a since p - m > -1
+            coeff = math.gamma(p + 1.0) / math.gamma(p - m + 1.0)
+            singular = (p - m, lambda u, _c=coeff: _c)
         return TestFunction(
             name=name,
             d_upper=d_upper,
@@ -342,6 +382,7 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
             exact_caputo=exact,
             d_upper_sup=sup,
             d_upper_plus_sup=sup_plus,
+            singular_part=singular,
         )
     if name == "exp":
 
@@ -378,7 +419,8 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
 def make_problem(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> DerivativeProblem:
     """Wire a corpus entry into a ready-to-run problem."""
     fn = corpus_function(name, alpha, a=a, T=T)
-    return DerivativeProblem(alpha=alpha, a=a, T=T, d_upper=fn.d_upper, d_upper_plus=fn.d_upper_plus)
+    return DerivativeProblem(alpha=alpha, a=a, T=T, d_upper=fn.d_upper,
+                             d_upper_plus=fn.d_upper_plus, singular_part=fn.singular_part)
 
 
 def require_d_upper_plus(problem: DerivativeProblem) -> Callable[[float], float]:

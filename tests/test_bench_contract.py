@@ -79,25 +79,28 @@ def test_traced_run_counts_one_forcing_call_per_step():
 
 def test_traced_oracles_count_their_quadratures():
     # the tracer counts quad calls by rebinding oracle.integrate, so every
-    # oracle quadrature must still go through that module attribute
+    # oracle quadrature must still go through that module attribute; pow2.5
+    # declares its singular part, so its full windows and the half of
+    # brute_force_caputo next to a are QAWS integrals
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer, diffcap)
-    problem = diffcap.oracle.make_problem("sin", 0.5)
-    oracles = ("brute_force_caputo", "reference_quadrature")
+    runs = [(name, oracle) for name in ("sin", "pow2.5")
+            for oracle in ("brute_force_caputo", "reference_quadrature")]
     try:
-        for name in oracles:
-            tracer.request = name
+        for name, oracle in runs:
+            tracer.request = f"{name} {oracle}"
             tracer.begin("bench.request")
-            getattr(diffcap.oracle, name)(problem, 0.7, 1e-9)
+            getattr(diffcap.oracle, oracle)(diffcap.oracle.make_problem(name, 0.5), 0.7, 1e-9)
             tracer.end()
             tracer.request = None
     finally:
         tracing.uninstall(saved)
-    quads = dict.fromkeys(oracles, 0)
+    quads = {f"{name} {oracle}": 0 for name, oracle in runs}
     for (request, counter, _), n in tracer.counts.items():
         if counter == "oracle.quad_calls":
             quads[request] += n
+    assert quads["pow2.5 brute_force_caputo"] == 2, quads
     assert all(n >= 1 for n in quads.values()), quads
 
 

@@ -149,6 +149,22 @@ def test_problem_validation():
         DerivativeProblem(alpha=0.5, a=1e308, T=1e308, d_upper=lambda t: 0.0)
 
 
+@pytest.mark.parametrize("part", [(-1.0, math.cos), (math.nan, math.cos), (math.inf, math.cos),
+                                  (0.5, 2.0), (0.5,), (0.5, math.cos, 1.0), ("0.5", math.cos),
+                                  [0.5, math.cos]])
+def test_problem_rejects_a_malformed_singular_part(part):
+    with pytest.raises(InvalidParameterError, match="singular_part"):
+        DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=math.sin, singular_part=part)
+
+
+def test_problem_keeps_a_declared_singular_part():
+    r = math.cos
+    problem = DerivativeProblem(alpha=2.5, a=0.0, T=1.0, d_upper=math.sin,
+                                singular_part=(np.float64(-0.5), r))
+    assert problem.singular_part == (-0.5, r) and type(problem.singular_part[0]) is float
+    assert DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=math.sin).singular_part is None
+
+
 def _assert_derived_fields(problem):
     assert type(problem.alpha) is float
     assert problem.ceil_order == math.ceil(problem.alpha)

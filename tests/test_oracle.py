@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 import diffcap
@@ -262,9 +264,9 @@ class _CountingForcing:
 @pytest.mark.parametrize("name, t, max_samples", [("pow2", 1.0, 4000), ("sin", 0.7, 6300)])
 def test_reference_quadrature_takes_one_outer_qaws_integral(name, t, max_samples, monkeypatch):
     # one QAWS integral over the whole w line, with weights at both ends of
-    # its logistic variable, makes 92 quad calls here for pow2 and for sin,
-    # with 2961 (pow2) and 2919 (sin) d_upper samples: counts, unlike
-    # timings, repeat exactly
+    # its logistic variable, makes 86 quad calls here for pow2 and for sin,
+    # with 2751 (pow2) and 2709 (sin) d_upper samples, each outer abscissa
+    # evaluated once: counts, unlike timings, repeat exactly
     counter = _CountingIntegrate(oracle.integrate)
     monkeypatch.setattr(oracle, "integrate", counter)
     problem = make_problem(name, 0.5)
@@ -272,6 +274,30 @@ def test_reference_quadrature_takes_one_outer_qaws_integral(name, t, max_samples
     reference_quadrature(dataclasses.replace(problem, d_upper=forcing), t, 1e-9)
     assert counter.alg_calls == 1
     assert counter.quad_calls <= 300
+    assert forcing.calls <= max_samples
+
+
+@pytest.mark.parametrize("alpha, max_samples", [(0.5, 1200), (2.3, 2000)])
+def test_reference_quadrature_reads_no_data_on_declared_full_windows(alpha, max_samples,
+                                                                     monkeypatch):
+    # pow2.5 declares d_upper(a + u) = u^sigma r(u), so each full window is one
+    # QAWS integral of r (wvar (0, sigma)) and only clipped windows read
+    # d_upper: 840 (alpha 0.5) and 1470 (alpha 2.3) samples here, against
+    # 17325 and 37611 with QUADPACK bisecting toward tau = a
+    problem = make_problem("pow2.5", alpha)
+    forcing = _CountingForcing(problem.d_upper)
+    full_window_samples = []
+
+    def quad(*args, **kwargs):
+        before = forcing.calls
+        result = scipy.integrate.quad(*args, **kwargs)
+        if kwargs.get("wvar", (None,))[0] == 0.0:
+            full_window_samples.append(forcing.calls - before)
+        return result
+
+    monkeypatch.setattr(oracle, "integrate", types.SimpleNamespace(quad=quad))
+    reference_quadrature(dataclasses.replace(problem, d_upper=forcing), 1.0, 1e-9)
+    assert len(full_window_samples) >= 50 and not any(full_window_samples)
     assert forcing.calls <= max_samples
 
 
@@ -323,11 +349,10 @@ def test_reference_quadrature_meets_a_1e_12_target_on_sin(alpha, a, T):
     assert reference_quadrature(problem, problem.end, 1e-12) == pytest.approx(truth, abs=2e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=OracleError,
-                   reason="tau - a loses its last digits when a + s rounds at a = -3.7, "
-                          "so an inner quad misses its target (ROADMAP item 11)")
 def test_reference_quadrature_meets_a_1e_11_target_away_from_zero_left_endpoint():
-    # d_upper ~ (tau - a)^{-1/2}; at truth_tol 1e-10 this case converges
+    # d_upper ~ (tau - a)^{-1/2}: sampled from a rounded tau, tau - a lost its
+    # last digits at a = -3.7 and an inner quad missed its target; the declared
+    # singular part weights full windows with u^sigma instead
     problem = make_problem("pow2.5", 2.3, a=-3.7, T=2.3)
     t = -3.7 + 0.23
     exact = corpus_function("pow2.5", 2.3, a=-3.7, T=2.3).exact_caputo(t)
@@ -347,22 +372,13 @@ def test_reference_quadrature_meets_a_1e_12_target_near_order_zero(alpha):
 
 
 _SWEEP_ALPHAS = (0.1, 0.3, 0.5, 0.9, 0.96, 1.3, 1.5, 1.9, 2.3, 2.7)
-# (alpha, (t - a) / T, tol) of every sweep case that raises OracleError: on
-# pow2.5 data, singular at a, tau - a loses its last digits when a + s rounds
-# at a = -3.7, so an inner quad misses its target (ROADMAP item 11)
-_SWEEP_RAISES = {
-    ("pow2.5", -3.7, 2.3): {(2.3, 0.1, 1e-12), (2.3, 0.5, 1e-12),
-                            (2.7, 0.1, 1e-12), (2.7, 0.5, 1e-12)},
-}
 
 
 @pytest.mark.parametrize("a, T", [(0.0, 1.0), (-3.7, 2.3), (0.5, 30.0), (0.0, 0.02)])
 @pytest.mark.parametrize("name", corpus_names())
 def test_reference_quadrature_accuracy_sweep(name, a, T):
     # every case meets 2 max(tol, 5e-13 |truth|) against the closed form, or
-    # brute_force_caputo at 1e-12 where there is none, except the pinned ones
-    # that raise: a case that stops raising fails here, as a strict xfail would
-    raised = set()
+    # brute_force_caputo at 1e-12 where there is none, and none raises
     for alpha in _SWEEP_ALPHAS:
         fn = corpus_function(name, alpha, a=a, T=T)
         problem = make_problem(name, alpha, a=a, T=T)
@@ -371,14 +387,9 @@ def test_reference_quadrature_accuracy_sweep(name, a, T):
             truth = (fn.exact_caputo(t) if fn.exact_caputo is not None
                      else brute_force_caputo(problem, t, 1e-12))
             for tol in (1e-10, 1e-12):
-                try:
-                    value = reference_quadrature(problem, t, tol)
-                except OracleError:
-                    raised.add((alpha, frac, tol))
-                    continue
+                value = reference_quadrature(problem, t, tol)
                 allowance = 2.0 * max(tol, 5e-13 * abs(truth))
                 assert abs(value - truth) <= allowance, (alpha, frac, tol, value, truth)
-    assert raised == _SWEEP_RAISES.get((name, a, T), set())
 
 
 _FRESH_PROCESS = """
@@ -439,6 +450,20 @@ def test_brute_force_validates_inputs():
         brute_force_caputo(problem, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("a", [0.0, -3.7])
+@pytest.mark.parametrize("alpha", [0.5, 1.3, 2.3, 2.7])
+def test_brute_force_caputo_meets_its_target_on_declared_singular_data(alpha, a):
+    # pow2.5 declares d_upper(a + u) = u^{2.5 - m} r(u); without it, alpha 2.3
+    # at t - a = 0.82355625 raised OracleError ("roundoff error is detected in
+    # the extrapolation table") at tol 1e-11
+    exact_caputo = corpus_function("pow2.5", alpha, a=a).exact_caputo
+    problem = make_problem("pow2.5", alpha, a=a)
+    for t in (a + 0.1, a + 0.82355625, a + 1.0):
+        exact = exact_caputo(t)
+        error = brute_force_caputo(problem, t, 1e-11) - exact
+        assert abs(error) <= 2.0 * max(1e-11, 5e-13 * abs(exact)), (t, error)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 @pytest.mark.parametrize("name", ["pow1", "pow2", "pow3", "pow2.5"])
 def test_closed_forms_agree_with_brute_force(name, alpha):
@@ -486,6 +511,26 @@ def test_low_regularity_power_has_singular_next_derivative():
     assert fn.d_upper(0.0) == 0.0
     assert fn.d_upper_plus(0.0) == math.inf
     assert fn.d_upper_plus_sup is None
+
+
+@pytest.mark.parametrize("a", [0.0, -3.7])
+@pytest.mark.parametrize("alpha", [0.5, 1.3, 2.7])
+def test_declared_singular_part_is_the_data(alpha, a):
+    # one alpha per band: d_upper(a + u) = u^sigma r(u), sigma = 2.5 - m, at the
+    # offsets u = tau - a that d_upper itself forms
+    sigma, r = make_problem("pow2.5", alpha, a=a, T=2.3).singular_part
+    d_upper = corpus_function("pow2.5", alpha, a=a, T=2.3).d_upper
+    assert sigma == 2.5 - math.ceil(alpha)
+    for tau in a + np.linspace(0.0, 2.3, 58)[1:]:
+        u = float(tau) - a
+        assert u**sigma * r(u) == pytest.approx(d_upper(float(tau)), rel=4e-16)
+
+
+def test_only_pow2_5_declares_a_singular_part():
+    for name in corpus_names():
+        for alpha in (0.5, 1.3, 2.7, 3.5):
+            declared = make_problem(name, alpha).singular_part is not None
+            assert declared == (name == "pow2.5" and alpha < 3.0), (name, alpha)
 
 
 def test_closed_forms_overflow_to_infinity():
