@@ -252,7 +252,9 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     @functools.cache  # QAWS samples x = 0, x = 1 and shared subinterval ends again
     def f(x: float) -> float:
         if span * x <= clip * (1.0 - x):
-            return span / (1.0 - x) * _window(problem, t, span, span * x / ((1.0 - x) * s),
+            cut = (1.0 - x) * s  # below 2^-1022 it lost digits, and s = span there
+            decay = span * x / cut if cut >= 2.0**-1022 else x / (1.0 - x)
+            return span / (1.0 - x) * _window(problem, t, span, decay,
                                               log_f + math.log(1.0 - x) - math.log(span))
         return clip / x * _window(problem, t, clip * (1.0 - x) / x, _CLIP_LENGTHS,
                                   log_f + math.log(x) - math.log(clip))

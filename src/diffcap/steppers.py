@@ -17,16 +17,16 @@ The derivative itself is the weighted sum ``system.weights @ phi`` over the
 One loop walks the grid with a state of 2K numbers, or, for the folded
 stream, of the modes that move at this grid's steps and span plus one
 column per frozen set (stiff, or slow).  It takes the first step alone,
-then passes of several steps; each pass samples its forcing and forms its
-sums f_i once, and is of one of two kinds.  A table pass forms the (A, Q) of
-its steps as two tables, then takes two array operations a step.  A block
-pass serves the folded stream on a grid of one step length h, where the
-recurrence has a closed form over m steps: phi_{n+j} = A^j phi_n +
-sum_{i<=j} A^{j-i} Q c f_i, so the folded values y_{n+j} = weights . phi_{n+j}
-of m steps are one (m x 2K) table times phi_n plus a lower-triangular
-Toeplitz kernel times the m forcing sums, and phi_{n+m} is A^m phi_n plus
-one more (m x 2K) product (the sum-of-exponentials block structure of
-Lubich & Schaedle, SIAM J. Sci. Comput. 24(1), 2002).
+then passes of several steps; each pass samples its forcing as one checked
+array, forms its sums f_i once, and is of one of two kinds.  A table pass
+forms the (A, Q) of its steps as two tables, then takes two array
+operations a step.  A block pass serves the folded stream on a grid of one
+step length h, where a block of m steps has a closed form: phi_{n+j} =
+A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i, so y_{n+j} = weights . phi_{n+j} is
+one (m x 2K) table times phi_n plus a lower-triangular Toeplitz kernel times
+the m sums, and phi_{n+m} is A^m phi_n plus one more (m x 2K) product (the
+sum-of-exponentials blocks of Lubich & Schaedle, SIAM J. Sci. Comput. 24(1),
+2002).  A pass lays up to eight blocks' sums out as rows, one product each.
 """
 
 from __future__ import annotations
@@ -164,14 +164,30 @@ def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
         )
 
 
-def _forcing(d_upper, t: float) -> float:
+def _sample_forcing(d_upper, times: list) -> np.ndarray:
+    """d_upper at ``times``, called once each in order: one array if all are finite float64,
+    else each value is checked as float(+v) (+ rejects text) up to the first bad time."""
+    values, failure = [], None
     try:
-        g = float(+d_upper(t))  # + rejects text, which float() would parse
+        for t in times:
+            values.append(d_upper(t))
+        g = np.array(values)
+        if g.dtype == np.float64 and g.ndim == 1 and np.isfinite(g).all():
+            return g
     except (OverflowError, ZeroDivisionError, TypeError, ValueError) as exc:
-        raise EvaluationError(f"d_upper failed at t = {t}: {exc}") from exc
-    if not math.isfinite(g):
-        raise EvaluationError(f"d_upper returned a non-finite value at t = {t}")
-    return g
+        failure = exc
+    for i, (t, v) in enumerate(zip(times, values)):
+        try:
+            if getattr(v, "ndim", 0) != 0:  # not left to float(), which may only warn
+                raise TypeError("only 0-dimensional arrays can be converted to Python scalars")
+            values[i] = float(+v)
+        except (OverflowError, ZeroDivisionError, TypeError, ValueError) as exc:
+            raise EvaluationError(f"d_upper failed at t = {t}: {exc}") from exc
+        if not math.isfinite(values[i]):
+            raise EvaluationError(f"d_upper returned a non-finite value at t = {t}")
+    if len(values) < len(times):
+        raise EvaluationError(f"d_upper failed at t = {times[len(values)]}: {failure}") from failure
+    return np.array(values)
 
 
 def iter_solution(
@@ -186,7 +202,8 @@ def iter_solution(
 
     The first array is the read-only zero state.  To run on the first K*
     nodes only, pass ``truncate_rule(rule, K*)``.  d_upper is called once per
-    grid time after a, in order, each pass's times before that pass yields;
+    grid time after a, in order, each pass's times before that pass yields
+    (a bad value lets the rest of its pass be called before it is named);
     the first step is backward Euler whatever the method (a Rannacher
     start), so no method reads d_upper(a) or keeps a start-up error.
 
@@ -199,12 +216,13 @@ def iter_solution(
     After the first step, which goes alone, the grid is walked in passes of
     _BLOCK = 32 steps on the folded stream and _CHUNK = 16 on the phi stream.
     A folded stream whose grid steps all lie within a relative 3e-11 of T/N
-    takes block passes of eight such blocks, from closed-form tables built
-    once per call; every other pass is a table pass (see _table_pass).  So
-    at most one pass's forcing, values and tables are alive at a time, and a
-    sweep costs O(N K) time and O(K) memory at any grid length.  A phi or
-    value that is not finite raises EvaluationError naming its grid time, a
-    trapezoidal half step that rounds to 0 InvalidParameterError up front.
+    takes block passes of up to eight such blocks, a few matrix products each
+    with closed-form tables built once per call; every other pass is a table
+    pass (see _table_pass).  So at most one pass's forcing, values and tables
+    are alive at a time, and a sweep costs O(N K) time and O(K) memory at any
+    grid length.  A phi or value that is not finite raises EvaluationError
+    naming its grid time, a trapezoidal half step that rounds to 0
+    InvalidParameterError up front.
     """
     _check_method(method)
     _check_grid(problem, grid)
@@ -227,25 +245,25 @@ def iter_solution(
             exponentials, c, method, nominal, weights, min(_BLOCK, last - 1))
     step_method, g_prev, lo = BACKWARD_EULER, 0.0, 0
     while lo < last:
-        # a block pass takes eight blocks, which share its errstate and finite check
+        # a block pass takes up to eight blocks, which share its errstate, products and checks
         size = 1 if lo == 0 else _CHUNK if weights is None else _BLOCK if tables is None else 8 * _BLOCK
         hi = min(lo + size, last)
         times = points[lo + 1 : hi + 1].tolist()
-        g = [g_prev] + [_forcing(d_upper, t) for t in times]
-        g_prev, g = g[-1], np.array(g)
-        f = g[1:] + g[:-1] if step_method == TRAPEZOIDAL else g[1:]
+        g = _sample_forcing(d_upper, times)
+        f = g + np.concatenate(([g_prev], g[:-1])) if step_method == TRAPEZOIDAL else g
+        g_prev = g[-1]
         with np.errstate(over="ignore", invalid="ignore"):
             if lo == 0 or tables is None:
                 values, phi = _table_pass(phi, exponentials, c, step_method, steps[lo:hi], f, weights)
-            else:
+            else:  # sums as block rows, zero-padded at the grid's end; phi moves on if a pass follows
                 fold, kernel, carry, decay = tables
-                values = np.empty(hi - lo)
-                for j in range(0, hi - lo, _BLOCK):
-                    f_j = f[j : j + _BLOCK]
-                    n = len(f_j)
-                    np.add(fold[:n].dot(phi), kernel[:n, :n].dot(f_j), out=values[j : j + n])
-                    if lo + j + _BLOCK < last:
-                        phi = decay * phi + f_j[::-1].dot(carry)
+                forcing = np.concatenate((f, np.zeros(-len(f) % len(fold)))).reshape(-1, len(fold))
+                drive = forcing[:, ::-1] @ carry
+                states = np.concatenate(([phi], drive[: len(drive) - (hi == last)]))
+                for state, start in zip(states, states[1:]):
+                    start += decay * state
+                values = (states[: len(forcing)] @ fold.T + forcing @ kernel.T).ravel()[: hi - lo]
+                phi = states[-1]
         if not np.isfinite(values).all():
             bad = next(t for t, v in zip(times, values) if not np.isfinite(v).all())
             raise EvaluationError(f"the solution is not finite at t = {bad}")

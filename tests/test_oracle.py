@@ -359,6 +359,28 @@ def test_reference_quadrature_meets_a_1e_11_target_away_from_zero_left_endpoint(
     assert reference_quadrature(problem, t, 1e-11) == pytest.approx(exact, abs=2e-11)
 
 
+@pytest.mark.parametrize("name, alpha", [("pow2", 0.5), ("pow2.5", 2.5)])
+@pytest.mark.parametrize("T", [5e-324, 1e-322, 1e-320, 1e-310])
+def test_reference_quadrature_on_a_subnormal_span_meets_its_target_or_raises(name, alpha, T):
+    # s = t - a is subnormal, so (1 - x) s rounds to 0 or loses digits in F
+    problem = make_problem(name, alpha, a=0.0, T=T)
+    exact = corpus_function(name, alpha, a=0.0, T=T).exact_caputo(T)
+    try:
+        value = reference_quadrature(problem, T, 1e-9)
+    except OracleError:
+        return
+    assert abs(value - exact) <= 2.0 * max(1e-9, 5e-13 * abs(exact)), (value, exact)
+
+
+@pytest.mark.xfail(strict=True, reason="the logistic variable is centred at min(t - a, 1), "
+                   "so long spans read wrong finite values")
+@pytest.mark.parametrize("T", [1e20, 1e40])
+def test_reference_quadrature_meets_its_target_on_long_spans(T):
+    exact = math.gamma(3.0) / math.gamma(1.5) * T**0.5
+    value = reference_quadrature(make_problem("pow2", 1.5, a=0.0, T=T), T, 1e-9)
+    assert abs(value - exact) <= 2.0 * max(1e-9, 5e-13 * abs(exact)), (value, exact)
+
+
 @pytest.mark.parametrize("alpha", [1e-6, 1e-9])
 def test_reference_quadrature_meets_a_1e_12_target_near_order_zero(alpha):
     # QAWS forms the weight's exponent q - 1 as (q - 1) + 1, which rounds q:

@@ -382,26 +382,68 @@ def test_forcing_arithmetic_errors_report_offending_time(d_upper, T, bad_t, caus
     assert isinstance(info.value.__cause__, cause)
 
 
+# the times of a 300-step grid: index 200 lies in its first block pass, 2..257
+_P300 = uniform_grid(0.0, 1.0, 300).points.tolist()
+
+
+class _LenientArray(np.ndarray):
+    # an array that float() accepts at one element, as a numpy that only deprecates it would
+    def __float__(self):
+        return float(self.item())
+
+
 @pytest.mark.parametrize(
-    "d_upper, cause",
+    "d_upper, n_steps, bad_t, cause",
     [
-        (lambda t: np.array([2.0 * t]), TypeError),
-        (lambda t: None, TypeError),
-        (lambda t: 2j * t, TypeError),
-        (lambda t: math.sqrt(t - 0.5), ValueError),
-        (lambda t: "2.0", TypeError),
-        (lambda t: b"2", TypeError),
+        (lambda t: np.array([2.0 * t]), 4, 0.25, TypeError),
+        (lambda t: np.array([2.0 * t]).view(_LenientArray), 4, 0.25, TypeError),
+        (lambda t: None, 4, 0.25, TypeError),
+        (lambda t: 2j * t, 4, 0.25, TypeError),
+        (lambda t: math.sqrt(t - 0.5), 4, 0.25, ValueError),
+        (lambda t: "2.0", 4, 0.25, TypeError),
+        (lambda t: b"2", 4, 0.25, TypeError),
+        (lambda t: 10**400, 4, 0.25, OverflowError),
+        # a later call of the same pass raises; the earlier bad value is named
+        (lambda t: None if t == _P300[200] else math.sqrt(_P300[250] - t), 300, _P300[200], TypeError),
+        # np.array of the pass raises, so each value is checked on its own
+        (lambda t: np.array([t]) if t == _P300[200] else None if t == _P300[230] else t,
+         300, _P300[200], TypeError),
     ],
-    ids=["array", "none", "complex", "sqrt-domain", "text", "bytes"],
+    ids=["array", "lenient-array", "none", "complex", "sqrt-domain", "text", "bytes", "huge-int",
+         "raise-later-in-pass", "second-bad-in-pass"],
 )
-def test_forcing_that_is_not_a_number_reports_offending_time(d_upper, cause):
+def test_forcing_that_is_not_a_number_reports_offending_time(d_upper, n_steps, bad_t, cause):
     problem = DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=d_upper)
-    rule, grid = gauss_laguerre_rule(3), uniform_grid(0.0, 1.0, 4)
+    rule, grid = gauss_laguerre_rule(3), uniform_grid(0.0, 1.0, n_steps)
     phi_stream = lambda: list(iter_solution(problem, rule, grid))  # noqa: E731
     for run in (lambda: evaluate_derivative(problem, rule, grid), phi_stream):
-        with pytest.raises(EvaluationError, match=re.escape("t = 0.25")) as info:
+        with pytest.raises(EvaluationError, match=re.escape(f"t = {bad_t}:")) as info:
             run()
         assert isinstance(info.value.__cause__, cause)
+
+
+@pytest.mark.parametrize(
+    "d_upper",
+    [
+        lambda t: np.float32(math.sin(3.0 * t)),
+        lambda t: np.int64(round(8.0 * t)),
+        lambda t: np.array(math.sin(3.0 * t)),
+        lambda t: t > 0.5,
+        lambda t: 2**70 * round(8.0 * t),
+    ],
+    ids=["float32", "int64", "0-d-array", "bool", "big-int"],
+)
+def test_forcing_numbers_of_any_type_step_as_their_float(d_upper):
+    # block passes, table passes and the phi stream all read v as float(+v)
+    problems = [DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=g)
+                for g in (d_upper, lambda t: float(+d_upper(t)))]
+    rule = gauss_laguerre_rule(6)
+    for grid in (uniform_grid(0.0, 1.0, 300), graded_grid(0.0, 1.0, 300, 2.0)):
+        for method in METHODS:
+            got, want = (evaluate_derivative(p, rule, grid, method) for p in problems)
+            assert got.tobytes() == want.tobytes()
+        got, want = (np.array(list(iter_solution(p, rule, grid))) for p in problems)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_boolean_forcing_steps_as_zero_or_one():
@@ -613,14 +655,15 @@ def _per_step_fold(problem, rule, grid, method):
 @pytest.mark.parametrize("name", corpus_names())
 def test_block_values_match_the_per_step_fold(name, alpha, method):
     # uniform grids take block passes of eight blocks after the first step;
-    # partial and single blocks, one block and one step over, a pass and one
-    # step over, and a long run
+    # partial and single blocks, one block and one step over, a pass that
+    # ends mid-block after full ones, exactly one pass and one step over,
+    # exactly two passes, two and a partial, and a long run
     for a, T in ((0.0, 1.0), (-3.7, 2.3), (0.5, 40.0)):
         problem = make_problem(name, alpha, a=a, T=T)
-        for k in (6, 64):
+        for k in (1, 6, 64):
             rule = gauss_laguerre_rule(k)
-            for n_steps in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 8 * _BLOCK + 1,
-                            8 * _BLOCK + 2, 1000):
+            for n_steps in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 6,
+                            8 * _BLOCK + 1, 8 * _BLOCK + 2, 16 * _BLOCK + 1, 16 * _BLOCK + 18, 1000):
                 grid = uniform_grid(a, T, n_steps)
                 values = evaluate_derivative(problem, rule, grid, method=method)
                 folded = _per_step_fold(problem, rule, grid, method)
