@@ -10,15 +10,16 @@ Three reference routes are provided:
 * ``reference_quadrature`` integrates the diffusive representation itself
   over the auxiliary variable, giving a high-accuracy derivative value.
 * ``brute_force_caputo`` evaluates the defining weakly singular integral
-  after a substitution that removes the endpoint singularity.
+  as one QAWS integral on [0, 1], its weight the endpoint singularities.
 
 All three share one globally adaptive integrator, QUADPACK with absolute-error
-targets (Gauss-Kronrod pairs, and QAWS for algebraic weights: at both ends of
-the reference's outer integral, and at a where a problem declares the power
-law of its data there), so they owe nothing to the quadrature or stepping
-modules they are used to check; ``scipy.integrate`` is imported on the first
-quadrature, not with this module.  A small corpus of test functions with
-hand-written derivatives and closed-form values rounds out the module.
+targets (Gauss-Kronrod pairs, and QAWS for algebraic weights: in the defining
+integral, at both ends of the reference's outer integral, and at a where a
+problem declares the power law of its data there), so they owe nothing to the
+quadrature or stepping modules they are used to check; ``scipy.integrate`` is
+imported on the first quadrature, not with this module.  A small corpus of
+test functions with hand-written derivatives and closed-form values rounds out
+the module.
 """
 
 from __future__ import annotations
@@ -86,15 +87,13 @@ _REL_FLOOR = 5e-13
 def _adaptive_integral(
     f: Callable[[float], float], lo: float, hi: float, abs_tol: float, **weight
 ) -> float:
-    """quad of f over [lo, hi] to abs_tol; ``weight`` (weight=, wvar=) goes to quad."""
-    if hi <= lo:
-        return 0.0
+    """Finite quad of f over [lo, hi] to abs_tol; ``weight`` (weight=, wvar=) goes to quad."""
     result = integrate.quad(f, lo, hi, epsabs=abs_tol, epsrel=_REL_FLOOR, limit=200,
                             full_output=1, **weight)
     value, abserr = result[0], result[1]
     if len(result) > 3:
         raise OracleError(f"adaptive integration on [{lo}, {hi}] failed: {result[3]}")
-    if abserr > max(abs_tol, _REL_FLOOR * abs(value)) * 1.01:
+    if not math.isfinite(value) or abserr > max(abs_tol, _REL_FLOOR * abs(value)) * 1.01:
         raise OracleError(
             f"adaptive integration on [{lo}, {hi}] reached error estimate {abserr}, "
             f"target was {abs_tol}"
@@ -269,38 +268,29 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
 def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:
     """The fractional derivative straight from its defining integral.
 
-    The weak endpoint singularity is removed by the substitution
-    tau = t - sigma^{1/(m - alpha)}, m = ceil(alpha), which turns the
-    integral into a plain one of the upper derivative along a warped time.
-    Where the problem declares d_upper(a + u) = u^p r(u), that substitution
-    covers only the half next to t, each half to tol/2: the half next to a,
-    with u = (t - a) v, is mu (t - a)^{mu + p} times a QAWS integral of
-    (1 - v)^{mu - 1} r((t - a) v) against v^p on [0, 1/2], mu = m - alpha,
-    and that factor is carried in logs.
+    With tau = a + (t - a) v, mu = ceil(alpha) - alpha and data declared as
+    d_upper(a + u) = u^sigma r(u) (else sigma = 0), it is (t - a)^{mu + sigma}
+    / Gamma(mu), carried in logs, times r(t - a) B(sigma + 1, mu) plus one QAWS
+    integral of r((t - a) v) - r(t - a) against v^sigma (1 - v)^{mu - 1} on
+    [0, 1]: the exponent mu - 1, which QAWS rounds as (mu - 1) + 1, weights a
+    function that vanishes at v = 1.  Data past double range at t gives +-inf.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
-    a = problem.a
-    mu = problem.ceil_order - problem.alpha
-    inv_mu = 1.0 / mu
-    upper = (t - a) ** mu
-    gamma = math.gamma(mu + 1.0)
-
-    def integrand(sigma: float) -> float:
-        tau = t - sigma**inv_mu
-        tau = min(max(tau, a), t)
-        return problem.d_upper(tau)
-
-    if problem.singular_part is None or t == a:
-        return _adaptive_integral(integrand, 0.0, upper, tol * gamma) / gamma
-    p, r = problem.singular_part
+    a, mu = problem.a, problem.ceil_order - problem.alpha
+    if t == a:
+        return 0.0
     span = t - a
-    log_factor = (mu + p) * math.log(span) + math.log(mu)
-    near_a = _adaptive_integral(lambda v: (1.0 - v) ** (mu - 1.0) * r(span * v), 0.0, 0.5,
-                                _bounded_exp(math.log(0.5 * tol * gamma) - log_factor),
-                                weight="alg", wvar=(p, 0.0))
-    near_t = _adaptive_integral(integrand, 0.0, upper * 0.5**mu, 0.5 * tol * gamma)
-    return (_scaled(near_a, log_factor) + near_t) / gamma
+    sigma, r = problem.singular_part or (0.0, lambda u: problem.d_upper(min(a + u, t)))
+    r1 = r(span)
+    if math.isinf(r1):
+        return r1
+    log_factor = (mu + sigma) * math.log(span) - math.lgamma(mu)
+    rest = _adaptive_integral(lambda v: r(span * v) - r1, 0.0, 1.0,
+                              _bounded_exp(math.log(tol) - log_factor),
+                              weight="alg", wvar=(sigma, mu - 1.0))
+    beta = math.exp(math.lgamma(sigma + 1.0) + math.lgamma(mu) - math.lgamma(sigma + mu + 1.0))
+    return _scaled(rest + r1 * beta, log_factor)
 
 
 # --- test corpus -----------------------------------------------------------

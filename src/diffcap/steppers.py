@@ -165,15 +165,18 @@ def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
 
 
 def _sample_forcing(d_upper, times: list) -> np.ndarray:
-    """d_upper at ``times``, called once each in order: one array if all are finite float64,
+    """d_upper at ``times``, called once each in order: one float64 array if all are finite
+    bools, integers or floats of at most 8 bytes (each then converts as float(+v) does),
     else each value is checked as float(+v) (+ rejects text) up to the first bad time."""
     values, failure = [], None
     try:
         for t in times:
             values.append(d_upper(t))
         g = np.array(values)
-        if g.dtype == np.float64 and g.ndim == 1 and np.isfinite(g).all():
-            return g
+        if g.ndim == 1 and g.dtype.kind in "biuf" and g.dtype.itemsize <= 8:
+            g = g.astype(float, copy=False)
+            if np.isfinite(g).all():
+                return g
     except (OverflowError, ZeroDivisionError, TypeError, ValueError) as exc:
         failure = exc
     for i, (t, v) in enumerate(zip(times, values)):

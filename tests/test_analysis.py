@@ -163,6 +163,22 @@ def test_error_split_holds_on_data_singular_at_a_near_order_3():
     assert all(abs(row.r_total - row.r_q - row.r_ode) <= 10 * truth_tol for row in rows)
 
 
+@pytest.mark.parametrize("alpha", [1.0 - 1e-6, 2.0 - 1e-6])
+def test_error_split_holds_near_integer_orders(alpha):
+    # r_total once read 4.5e-6 (alpha 1 - 1e-6) and 6.0e-6 (2 - 1e-6) off the
+    # closed form, with no error raised
+    truth_tol = 1e-9
+    problem = make_problem("pow3", alpha)
+    exact = corpus_function("pow3", alpha).exact_caputo
+    rule, grid = gauss_laguerre_rule(20), uniform_grid(0.0, 1.0, 8)
+    values = evaluate_derivative(problem, rule, grid)
+    rows = decompose_error(problem, rule, grid, truth_tol=truth_tol)
+    for row, t, value in zip(rows, grid.points.tolist(), values.tolist()):
+        truth = exact(t)
+        assert abs(row.r_total - (truth - value)) <= 2.0 * max(truth_tol, 5e-13 * abs(truth))
+        assert abs(row.r_total - (row.r_q + row.r_ode)) <= 10.0 * truth_tol
+
+
 def _moved_end_grid(a: float, T: float, index: int, move: str) -> TimeGrid:
     """uniform_grid(a, T, 4) with its point at ``index`` moved by an ulp or by a
     multiple of the slack _check_grid allows each end."""

@@ -79,9 +79,9 @@ def test_traced_run_counts_one_forcing_call_per_step():
 
 def test_traced_oracles_count_their_quadratures():
     # the tracer counts quad calls by rebinding oracle.integrate, so every
-    # oracle quadrature must still go through that module attribute; pow2.5
-    # declares its singular part, so its full windows and the half of
-    # brute_force_caputo next to a are QAWS integrals
+    # oracle quadrature must still go through that module attribute;
+    # brute_force_caputo is one QAWS integral on [0, 1] whether or not the
+    # problem declares its singular part, as pow2.5 does
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer, diffcap)
@@ -100,7 +100,7 @@ def test_traced_oracles_count_their_quadratures():
     for (request, counter, _), n in tracer.counts.items():
         if counter == "oracle.quad_calls":
             quads[request] += n
-    assert quads["pow2.5 brute_force_caputo"] == 2, quads
+    assert quads["pow2.5 brute_force_caputo"] == quads["sin brute_force_caputo"] == 1, quads
     assert all(n >= 1 for n in quads.values()), quads
 
 

@@ -305,30 +305,41 @@ def test_reference_quadrature_reads_no_data_on_declared_full_windows(alpha, max_
 def test_no_oracle_sample_lies_below_the_left_endpoint(a):
     # every window is sampled from its left end lo >= a, so data that is
     # undefined below a (sqrt raises ValueError there) is never read there,
-    # on either side of the clip w = ln 40 - ln(t - a)
+    # on either side of the clip w = ln 40 - ln(t - a); brute_force_caputo
+    # samples a + (t - a) v, which must not round past t either
     samples = []
 
     def d_upper(tau: float) -> float:
-        samples.append(tau)
+        samples.append((tau, t))
         return math.sqrt(tau - a)
 
-    problem = DerivativeProblem(alpha=0.5, a=a, T=1.0, d_upper=d_upper)
     rule = gauss_laguerre_rule(20)
-    for frac in (1e-9, 1e-3, 0.3, 1.0):
-        t = a + frac
-        edge = math.log(40.0) - math.log(t - a)
-        for w in (edge - 1e-12, edge + 1e-12, -50.0, 0.0, 30.0, 700.0):
-            try:
-                exact_phi(problem, w, t)
-            except OracleError:
-                pass
-        for call in (lambda: exact_combination(problem, rule, t, 1e-9),
-                     lambda: reference_quadrature(problem, t, 1e-9)):
-            try:
-                call()
-            except OracleError:
-                pass
-    assert samples and min(samples) >= a
+    for alpha in (0.5, 0.999999):
+        problem = DerivativeProblem(alpha=alpha, a=a, T=1.0, d_upper=d_upper)
+        for frac in (1e-9, 1e-3, 0.3, 1.0):
+            t = a + frac
+            edge = math.log(40.0) - math.log(t - a)
+            for w in (edge - 1e-12, edge + 1e-12, -50.0, 0.0, 30.0, 700.0):
+                try:
+                    exact_phi(problem, w, t)
+                except OracleError:
+                    pass
+            for call in (lambda: exact_combination(problem, rule, t, 1e-9),
+                         lambda: reference_quadrature(problem, t, 1e-9),
+                         lambda: brute_force_caputo(problem, t, 1e-9)):
+                try:
+                    call()
+                except OracleError:
+                    pass
+    assert samples and all(a <= tau <= t for tau, t in samples)
+
+
+def test_brute_force_caputo_reads_no_data_past_t():
+    # t - a = 1 + 1.5e-16 rounds up to 1 + 2^-52, so a + (t - a) v would
+    # pass t = 1.5e-16 near v = 1, where sqrt(t - tau) raises ValueError
+    a, t = -1.0, 1.5e-16
+    problem = DerivativeProblem(alpha=0.5, a=a, T=2.0, d_upper=lambda tau: math.sqrt(t - tau))
+    assert math.isfinite(brute_force_caputo(problem, t, 1e-9))
 
 
 def test_reference_quadrature_converges_away_from_zero_left_endpoint():
@@ -486,6 +497,36 @@ def test_brute_force_caputo_meets_its_target_on_declared_singular_data(alpha, a)
         assert abs(error) <= 2.0 * max(1e-11, 5e-13 * abs(exact)), (t, error)
 
 
+@pytest.mark.parametrize("gap", [1e-5, 1e-6])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", ["pow1", "pow2", "pow3", "pow2.5"])
+def test_brute_force_caputo_meets_its_target_just_below_integer_orders(name, m, gap):
+    # tau = t - sigma^{1/mu} once squeezed all of [a, t] but a thin layer next
+    # to t into sigma within about mu of its upper limit, where QUADPACK's
+    # first rule took no sample: pow2 at alpha 1 - 1e-6 read 2e-6 off
+    alpha, tol = m - gap, 1e-10
+    exact = corpus_function(name, alpha).exact_caputo(1.0)
+    error = brute_force_caputo(make_problem(name, alpha), 1.0, tol) - exact
+    assert abs(error) <= 2.0 * max(tol, 5e-13 * abs(exact)), (alpha, error)
+
+
+@pytest.mark.parametrize("alpha", [0.999999, 1.999999])
+def test_brute_force_caputo_on_exp_just_below_integer_orders(alpha):
+    # the order-mu integral of e^{tau - a} is e^{t - a} P(mu, t - a), mu = ceil(alpha) - alpha
+    tol, t = 1e-10, 1.0
+    exact = math.exp(t) * scipy.special.gammainc(math.ceil(alpha) - alpha, t)
+    error = brute_force_caputo(make_problem("exp", alpha), t, tol) - exact
+    assert abs(error) <= 2.0 * max(tol, 5e-13 * abs(exact)), error
+
+
+def test_brute_force_caputo_on_a_subnormal_span():
+    # pow2.5 at alpha 2.5 has the constant derivative Gamma(3.5) = 3.323...
+    # for every t - a > 0; a span of one subnormal once read 3.158
+    exact = corpus_function("pow2.5", 2.5, 0.0, 5e-324).exact_caputo(5e-324)
+    value = brute_force_caputo(make_problem("pow2.5", 2.5, 0.0, 5e-324), 5e-324, 1e-10)
+    assert abs(value - exact) <= 2.0 * max(1e-10, 5e-13 * abs(exact)), (value, exact)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 @pytest.mark.parametrize("name", ["pow1", "pow2", "pow3", "pow2.5"])
 def test_closed_forms_agree_with_brute_force(name, alpha):
@@ -602,6 +643,16 @@ def test_adaptive_integral_rejects_an_error_estimate_above_its_target(monkeypatc
             return 1.0, 1.0
 
     monkeypatch.setattr(oracle, "integrate", _Stub)
+    with pytest.raises(OracleError, match="reached error estimate"):
+        oracle._adaptive_integral(math.exp, 0.0, 1.0, 1e-10)
+
+
+@pytest.mark.parametrize("value, abserr", [(math.inf, math.inf), (-math.inf, 0.0),
+                                           (math.nan, math.nan)])
+def test_adaptive_integral_rejects_a_value_that_is_not_finite(value, abserr, monkeypatch):
+    # 5e-13 |inf| is inf, so an infinite value once passed as its own error floor
+    monkeypatch.setattr(oracle, "integrate",
+                        types.SimpleNamespace(quad=lambda *args, **kwargs: (value, abserr)))
     with pytest.raises(OracleError, match="reached error estimate"):
         oracle._adaptive_integral(math.exp, 0.0, 1.0, 1e-10)
 
