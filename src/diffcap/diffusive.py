@@ -71,9 +71,12 @@ class DerivativeProblem:
     the a-priori ODE-error constant.  ``singular_part`` optionally declares
     the power-law part of the data at a: the pair (sigma, r) states
     d_upper(a + u) = u^sigma r(u) for 0 < u <= T, with sigma > -1 and r
-    finite at u = 0.  Only the oracles read it; the scheme never does.  The
-    float order, its derived constants and the end a + T are computed once,
-    on construction.
+    finite at u = 0.  ``window`` optionally declares the unit window in
+    closed form: window(S, decay) is int_0^1 d_upper(a + S (1 - v))
+    e^{-decay v} dv for 0 < S <= T and finite decay >= 0 (the oracles call it
+    up to decay 2^60 and take the limit d_upper(t) / decay beyond).  Only
+    the oracles read these two; the scheme never does.  The float order, its
+    derived constants and the end a + T are computed once, on construction.
     """
 
     alpha: float
@@ -82,6 +85,7 @@ class DerivativeProblem:
     d_upper: Callable[[float], float]
     d_upper_plus: Callable[[float], float] | None = None
     singular_part: tuple[float, Callable[[float], float]] | None = None
+    window: Callable[[float, float], float] | None = None
     ceil_order: int = field(init=False)
     fractional_part: float = field(init=False)
     prefactor: float = field(init=False)
@@ -107,6 +111,8 @@ class DerivativeProblem:
                     f"got {part!r}"
                 )
             object.__setattr__(self, "singular_part", (float(sigma), r))
+        if self.window is not None and not callable(self.window):
+            raise InvalidParameterError(f"window must be callable, got {self.window!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "ceil_order", math.ceil(alpha))
         object.__setattr__(self, "fractional_part", fractional_part(alpha))

@@ -4,7 +4,8 @@ Three reference routes are provided:
 
 * ``exact_phi`` evaluates the auxiliary-ODE solution at a fixed time through
   its closed integral form (the derivative data convolved with a pure
-  exponential), by adaptive quadrature on an analytically clipped window.
+  exponential): in closed form where the problem declares its ``window``,
+  else by adaptive quadrature on an analytically clipped window.
   ``exact_combination`` folds two such values into the integrand of the
   diffusive representation at every node of a rule.
 * ``reference_quadrature`` integrates the diffusive representation itself
@@ -17,9 +18,11 @@ targets (Gauss-Kronrod pairs, and QAWS for algebraic weights: in the defining
 integral, at both ends of the reference's outer integral, and at a where a
 problem declares the power law of its data there), so they owe nothing to the
 quadrature or stepping modules they are used to check; ``scipy.integrate`` is
-imported on the first quadrature, not with this module.  A small corpus of
-test functions with hand-written derivatives and closed-form values rounds out
-the module.
+imported on the first quadrature, not with this module.  A declared window
+replaces only the inner integrals over the data, so ``brute_force_caputo``
+and the outer w-integral stay independent routes.  A small corpus of test
+functions with hand-written derivatives, closed-form windows and closed-form
+values rounds out the module.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ class _LazyModule:
 
 #: a module attribute, not a per-call import, so perfbench/tracing.py can rebind it
 integrate = _LazyModule("scipy.integrate")
+#: Kummer's function for the power-law windows of the corpus
+special = _LazyModule("scipy.special")
+
+#: ln 2^60: past this decay a declared window takes its boundary-layer limit
+#: d_upper(t) / decay, whose relative error is about (t - a) |d_upper'(t)| /
+#: (|d_upper(t)| decay); hyp1f1 returns 0 or nan well before decay 1e300
+_LOG_LIMIT_DECAY = 60.0 * math.log(2.0)
 
 
 def _validate_tol(tol: float, upper: float = TOL_MAX) -> float:
@@ -148,10 +158,20 @@ def _window(
                               0.0, 1.0, _bounded_exp(log_tol))
 
 
+def _finite(value: float, t: float) -> float:
+    """A declared window value or d_upper(t) as a float; OracleError where it is not finite."""
+    if not math.isfinite(value):
+        raise OracleError(f"declared window data at t = {t} is {value}, not a finite number")
+    return float(value)
+
+
 def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float) -> float:
     """phi(w, t) = c e^{w q} W(e^w), W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau.
 
-    W is one ``_window`` of length L = min(t - a, 40 e^{-w}), so every
+    A problem that declares ``window`` is never clipped: W is the full
+    window, decay (t - a) e^w, in closed form, and past decay 2^60 phi takes
+    its boundary-layer limit c d_upper(t) e^{-(1 - q) w}, formed in logs.
+    Otherwise W is one ``_window`` of length L = min(t - a, 40 e^{-w}), so every
     quadrature sample is well conditioned no matter how thin the boundary
     layer is.  Where the window is clipped, ln L = ln 40 - w is carried in
     logs and the magnitude is formed from ln 40 - (1 - q) w: it stays right
@@ -166,6 +186,12 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
     span = t - a
     q = problem.fractional_part
     c = problem.prefactor
+    if problem.window is not None:
+        log_decay, log_c = w + math.log(span), math.log(abs(c))
+        if log_decay > _LOG_LIMIT_DECAY:
+            return _scaled(_finite(problem.d_upper(t), t), log_c - (1.0 - q) * w)
+        return _scaled(_finite(problem.window(span, math.exp(log_decay)), t),
+                       log_c + q * w + math.log(span))
     if w > math.log(_CLIP_LENGTHS) - math.log(span):
         length, decay = _CLIP_LENGTHS * math.exp(-w), _CLIP_LENGTHS
         log_scale = math.log(_CLIP_LENGTHS) - (1.0 - q) * w  # q w + ln L
@@ -182,9 +208,10 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
 def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12) -> float:
     """Reference value of the auxiliary solution phi(w, t), |error| <= tol.
 
-    For large positive w the integrand is a boundary layer of width e^{-w}
-    at tau = t; the window is clipped to 40 decay lengths before refinement,
-    making the cost independent of w.
+    Where the problem declares ``window``, phi is that closed form and costs
+    no quadrature.  Otherwise, for large positive w the integrand is a
+    boundary layer of width e^{-w} at tau = t; the window is clipped to 40
+    decay lengths before refinement, making the cost independent of w.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
@@ -219,12 +246,13 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
 
     The derivative is int phi(w, t) dw over the whole w line, with
     phi(w, t) = c e^{q w} W(e^w) as in ``_phi_integral``.  In the logistic
-    variable x, e^w = x / ((1 - x) s) with s = min(t - a, 1), so that
+    variable x, e^w = x / ((1 - x) s) with s = t - a, so that
     dw = dx / (x (1 - x)) and x = 1/2 is e^w = 1/s:
 
         c s^{-q} int_0^1 x^{q-1} (1 - x)^{-q} F(x) dx,  F(x) = W(r) / (1 - x),
 
-    r = x / ((1 - x) s).  F is smooth on [0, 1] and finite at both ends
+    r = x / ((1 - x) s), so a full window has decay s r = x / (1 - x) on
+    every span.  F is smooth on [0, 1] and finite at both ends
     (F(0) = W(0) is the integral of d_upper, F(1) = s d_upper(t)), so this
     is one QAWS integral (``weight="alg"``) with no cut of the w range.
     (1 - x) F(0) is taken out in closed form, c int x^{q-1} (1 - x)^{1-q} dx
@@ -232,29 +260,33 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     weights a function that vanishes at 0; both terms use the same F(0), so
     its error cancels to first order.  The outer integral takes a quarter of
     tol and the F values the rest: c int x^{q-1} (1 - x)^{-q} dx = 1, so an
-    F error delta moves the value by delta s^{-q}.  A window clipped to 40
-    decay lengths has length 40 s (1 - x) / x, and F is 40 s / x times its
-    unit integral, so x = 1 samples tau = t alone.  The returned value
-    carries an estimated error of at most about tol.
+    F error delta moves the value by delta s^{-q}.  A problem that declares
+    ``window`` takes every F(x < 1) from it and F(1) from d_upper(t).
+    Otherwise a window past 40 decay lengths is clipped to length
+    40 s (1 - x) / x, and F is 40 s / x times its unit integral, so x = 1
+    samples tau = t alone.  The returned value carries an estimated error of
+    at most about tol.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
     if t == problem.a:
         return 0.0
     q, c = problem.fractional_part, problem.prefactor
-    span = t - problem.a
-    s = min(span, 1.0)
+    s = t - problem.a
     log_scaled = math.log(tol) + q * math.log(s)  # ln(tol s^q)
     log_f = log_scaled + math.log(0.75)
     clip = _CLIP_LENGTHS * s  # 40 decay lengths of e^{-(t - tau) r}: clip (1 - x) / x
+    declared = problem.window is not None
 
     @functools.cache  # QAWS samples x = 0, x = 1 and shared subinterval ends again
     def f(x: float) -> float:
-        if span * x <= clip * (1.0 - x):
-            cut = (1.0 - x) * s  # below 2^-1022 it lost digits, and s = span there
-            decay = span * x / cut if cut >= 2.0**-1022 else x / (1.0 - x)
-            return span / (1.0 - x) * _window(problem, t, span, decay,
-                                              log_f + math.log(1.0 - x) - math.log(span))
+        if declared:  # at x = 1 the boundary-layer limit W(r) r -> d_upper(t)
+            if x == 1.0:
+                return s * _finite(problem.d_upper(t), t)
+            return s / (1.0 - x) * _finite(problem.window(s, x / (1.0 - x)), t)
+        if x <= _CLIP_LENGTHS * (1.0 - x):
+            return s / (1.0 - x) * _window(problem, t, s, x / (1.0 - x),
+                                           log_f + math.log(1.0 - x) - math.log(s))
         return clip / x * _window(problem, t, clip * (1.0 - x) / x, _CLIP_LENGTHS,
                                   log_f + math.log(x) - math.log(clip))
 
@@ -303,7 +335,8 @@ class TestFunction:
     ``d_upper`` is the ceil(alpha)-th derivative, ``d_upper_plus`` the next
     one, and ``exact_caputo`` the closed-form derivative where one exists.
     Exact sup-norms over [a, a + T] are carried where they are trivial, and
-    ``singular_part`` is the ``DerivativeProblem`` field of the same name.
+    ``singular_part`` and ``window`` are the ``DerivativeProblem`` fields of
+    the same names.
     """
 
     name: str
@@ -313,6 +346,7 @@ class TestFunction:
     d_upper_sup: float | None = None
     d_upper_plus_sup: float | None = None
     singular_part: tuple[float, Callable[[float], float]] | None = None
+    window: Callable[[float, float], float] | None = None
 
 
 _POWER_EXPONENTS = {"pow1": 1.0, "pow2": 2.0, "pow3": 3.0, "pow2.5": 2.5}
@@ -350,6 +384,44 @@ def _power_derivative(
     return deriv, abs(deriv(T, _a=0.0)) if expo >= 0.0 else None
 
 
+def _unit_integral(z: complex) -> complex:
+    """int_0^1 e^{-z v} dv = (1 - e^{-z}) / z for Re z >= 0, each part to a few
+    ulp of the magnitude: its Taylor series where |z| <= 1/2, else 1 - e^{-z}
+    formed with expm1 and 1 - cos(Im z) = 2 sin^2(Im z / 2)."""
+    if abs(z) <= 0.5:
+        term, total = 1.0 + 0j, 0j
+        for n in range(2, 18):  # (-z)^k / (k + 1)! for k <= 15, below 2^-60 of the sum
+            total += term
+            term *= -z / n
+        return total
+    lam, s = z.real, z.imag
+    return complex(2.0 * math.sin(0.5 * s) ** 2 - math.expm1(-lam) * math.cos(s),
+                   math.exp(-lam) * math.sin(s)) / z
+
+
+def _power_window(p: float, m: int) -> Callable[[float, float], float]:
+    """The unit window of the m-th derivative of (t - a)^p, for integer p or p > m - 1.
+
+    That derivative is C u^e at u = tau - a, e = p - m, and int_0^1 (1 - v)^e
+    e^{-decay v} dv is M(1, e + 2, -decay) / (e + 1), Kummer's function
+    (DLMF 13.4.1), so the window is C S^e M(1, e + 2, -decay) / (e + 1); it
+    is 0 for integer p below m and inf where S^e overflows.
+    """
+    if p == int(p) and m > p:
+        return lambda span, decay: 0.0
+    expo = p - m
+    coeff = math.gamma(p + 1.0) / math.gamma(expo + 2.0)  # C / (e + 1)
+
+    def window(span: float, decay: float) -> float:
+        try:
+            scale = coeff * span**expo
+        except OverflowError:
+            return math.inf
+        return scale * float(special.hyp1f1(1.0, expo + 2.0, -decay))
+
+    return window
+
+
 def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> TestFunction:
     """Build the corpus entry ``name`` for order ``alpha`` on [a, a + T]."""
     m = math.ceil(_validate_order(alpha))
@@ -360,9 +432,10 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
         # the Caputo derivative of (t - a)^p is its order-alpha power-law
         # derivative (zero for integer p below alpha); there is no closed
         # form when the m-th derivative is not integrable at a
-        exact = singular = None
+        exact = singular = window = None
         if p == int(p) or p > m - 1:
             exact, _ = _power_derivative(p, alpha, a, T)
+            window = _power_window(p, m)
         if p != int(p) and p > m - 1:
             # d_upper(a + u) = coeff u^{p - m}, integrable at a since p - m > -1
             coeff = math.gamma(p + 1.0) / math.gamma(p - m + 1.0)
@@ -375,12 +448,20 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
             d_upper_sup=sup,
             d_upper_plus_sup=sup_plus,
             singular_part=singular,
+            window=window,
         )
     if name == "exp":
 
         def fn(t: float, _a: float = a) -> float:
             try:  # inline, as in _power_derivative
                 return math.exp(t - _a)
+            except OverflowError:
+                return math.inf
+
+        def window(span: float, decay: float) -> float:
+            # e^S int_0^1 e^{-(decay + S) v} dv
+            try:
+                return math.exp(span) * _unit_integral(complex(decay + span)).real
             except OverflowError:
                 return math.inf
 
@@ -392,6 +473,7 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
             exact_caputo=None,
             d_upper_sup=sup,
             d_upper_plus_sup=sup,
+            window=window,
         )
     if name == "sin":
         half_pi = 0.5 * math.pi
@@ -399,11 +481,17 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
         def shifted(order: int) -> Callable[[float], float]:
             return lambda t, _s=order * half_pi, _a=a: math.sin(t - _a + _s)
 
+        def window(span: float, decay: float, _turn: complex = 1j**m) -> float:
+            # sin(x + m pi / 2) = Im i^m e^{ix}, so V = Im i^m e^{iS} J(decay + iS)
+            turned = _turn * complex(math.cos(span), math.sin(span))
+            return (turned * _unit_integral(complex(decay, span))).imag
+
         return TestFunction(
             name=name,
             d_upper=shifted(m),
             d_upper_plus=shifted(m + 1),
             exact_caputo=None,
+            window=window,
         )
     raise InvalidParameterError(f"unknown corpus function {name!r}; known: {corpus_names()}")
 
@@ -412,7 +500,8 @@ def make_problem(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> Der
     """Wire a corpus entry into a ready-to-run problem."""
     fn = corpus_function(name, alpha, a=a, T=T)
     return DerivativeProblem(alpha=alpha, a=a, T=T, d_upper=fn.d_upper,
-                             d_upper_plus=fn.d_upper_plus, singular_part=fn.singular_part)
+                             d_upper_plus=fn.d_upper_plus, singular_part=fn.singular_part,
+                             window=fn.window)
 
 
 def require_d_upper_plus(problem: DerivativeProblem) -> Callable[[float], float]:

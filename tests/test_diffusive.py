@@ -157,6 +157,12 @@ def test_problem_rejects_a_malformed_singular_part(part):
         DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=math.sin, singular_part=part)
 
 
+@pytest.mark.parametrize("window", [1.0, "V", (0.0, math.exp)])
+def test_problem_rejects_a_window_that_is_not_callable(window):
+    with pytest.raises(InvalidParameterError, match="window must be callable"):
+        DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=math.sin, window=window)
+
+
 def test_problem_keeps_a_declared_singular_part():
     r = math.cos
     problem = DerivativeProblem(alpha=2.5, a=0.0, T=1.0, d_upper=math.sin,
