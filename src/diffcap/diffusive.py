@@ -73,10 +73,12 @@ class DerivativeProblem:
     d_upper(a + u) = u^sigma r(u) for 0 < u <= T, with sigma > -1 and r
     finite at u = 0.  ``window`` optionally declares the unit window in
     closed form: window(S, decay) is int_0^1 d_upper(a + S (1 - v))
-    e^{-decay v} dv for 0 < S <= T and finite decay >= 0 (the oracles call it
-    up to decay 2^60 and take the limit d_upper(t) / decay beyond).  Only
-    the oracles read these two; the scheme never does.  The float order, its
-    derived constants and the end a + T are computed once, on construction.
+    e^{-decay v} dv for 0 < S <= T and finite decay >= 0, a float or a float64
+    ndarray taken elementwise like a ufunc (the oracles call it up to decay
+    2^60, with arrays for all nodes of a rule, and take the limit d_upper(t) /
+    decay beyond).  Only the oracles read these two; the scheme never does.
+    The float order, its derived constants and the end a + T are computed
+    once, on construction.
     """
 
     alpha: float

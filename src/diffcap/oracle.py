@@ -7,7 +7,7 @@ Three reference routes are provided:
   exponential): in closed form where the problem declares its ``window``,
   else by adaptive quadrature on an analytically clipped window.
   ``exact_combination`` folds two such values into the integrand of the
-  diffusive representation at every node of a rule.
+  diffusive representation at every node of a rule, all from one window call.
 * ``reference_quadrature`` integrates the diffusive representation itself
   over the auxiliary variable, giving a high-accuracy derivative value.
 * ``brute_force_caputo`` evaluates the defining weakly singular integral
@@ -21,8 +21,8 @@ quadrature or stepping modules they are used to check; ``scipy.integrate`` is
 imported on the first quadrature, not with this module.  A declared window
 replaces only the inner integrals over the data, so ``brute_force_caputo``
 and the outer w-integral stay independent routes.  A small corpus of test
-functions with hand-written derivatives, closed-form windows and closed-form
-values rounds out the module.
+functions with hand-written derivatives, closed-form windows (elementwise over
+arrays of decays) and closed-form values rounds out the module.
 """
 
 from __future__ import annotations
@@ -165,13 +165,38 @@ def _finite(value: float, t: float) -> float:
     return float(value)
 
 
-def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float) -> float:
-    """phi(w, t) = c e^{w q} W(e^w), W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau.
+def _declared_phi(problem: DerivativeProblem, w: np.ndarray, t: float) -> np.ndarray:
+    """phi(w, t) = c e^{w q} (t - a) V(t - a, (t - a) e^w) at every w of an array.
 
-    A problem that declares ``window`` is never clipped: W is the full
-    window, decay (t - a) e^w, in closed form, and past decay 2^60 phi takes
-    its boundary-layer limit c d_upper(t) e^{-(1 - q) w}, formed in logs.
-    Otherwise W is one ``_window`` of length L = min(t - a, 40 e^{-w}), so every
+    V is the declared window, taken in one call for all decays up to 2^60;
+    past that phi is its boundary-layer limit c d_upper(t) e^{-(1 - q) w}.
+    The magnitude is formed in logs, +-inf where it leaves double range, and
+    w = +-inf keep their limit 0.  A V or d_upper(t) that is not finite raises
+    ``OracleError``.
+    """
+    a = problem.a
+    if t <= a:
+        return np.zeros_like(w)
+    span = t - a
+    q = problem.fractional_part
+    log_c, log_decay = math.log(abs(problem.prefactor)), w + math.log(span)
+    past = log_decay > _LOG_LIMIT_DECAY
+    raw = problem.window(span, np.exp(np.minimum(log_decay, _LOG_LIMIT_DECAY)))
+    if past.any():
+        raw = np.where(past, problem.d_upper(t), raw)
+    finite = np.isfinite(raw)
+    if not finite.all():
+        _finite(raw[~finite][0], t)  # raises, naming the first such value
+    log_scale = np.where(past, log_c - (1.0 - q) * w, log_c + q * w + math.log(span))
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; exp past range = inf
+        return np.copysign(np.exp(log_scale + np.log(np.abs(raw))), raw)
+
+
+def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float) -> float:
+    """phi(w, t) = c e^{w q} W(e^w), W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau,
+    for a problem that declares no ``window``.
+
+    W is one ``_window`` of length L = min(t - a, 40 e^{-w}), so every
     quadrature sample is well conditioned no matter how thin the boundary
     layer is.  Where the window is clipped, ln L = ln 40 - w is carried in
     logs and the magnitude is formed from ln 40 - (1 - q) w: it stays right
@@ -186,12 +211,6 @@ def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float
     span = t - a
     q = problem.fractional_part
     c = problem.prefactor
-    if problem.window is not None:
-        log_decay, log_c = w + math.log(span), math.log(abs(c))
-        if log_decay > _LOG_LIMIT_DECAY:
-            return _scaled(_finite(problem.d_upper(t), t), log_c - (1.0 - q) * w)
-        return _scaled(_finite(problem.window(span, math.exp(log_decay)), t),
-                       log_c + q * w + math.log(span))
     if w > math.log(_CLIP_LENGTHS) - math.log(span):
         length, decay = _CLIP_LENGTHS * math.exp(-w), _CLIP_LENGTHS
         log_scale = math.log(_CLIP_LENGTHS) - (1.0 - q) * w  # q w + ln L
@@ -217,6 +236,8 @@ def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12
     t = _validate_time(problem, t)
     if math.isnan(w):
         raise InvalidParameterError("w must be a number, got nan")
+    if problem.window is not None:
+        return float(_declared_phi(problem, np.array([float(w)]), t)[0])
     return _phi_integral(problem, float(w), t, tol)
 
 
@@ -226,11 +247,16 @@ def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float)
     ``rule`` supplies ``nodes`` x_k and ``log_weights`` ln a_k.  Node
     tolerances are split so the weighted sum over all nodes, with weights
     a_k e^{x_k}, stays within ``budget``, which must lie in [TOL_MIN, TOL_MAX].
+    A problem that declares ``window`` takes all 2K values of phi from one
+    window call.
     """
     budget = _validate_tol(budget)
     t = _validate_time(problem, t)
     q = problem.fractional_part
     npoints = len(rule.nodes)
+    if problem.window is not None:
+        phi = _declared_phi(problem, np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q))), t)
+        return phi[:npoints] / q + phi[npoints:] / (1.0 - q)
     coef_log = rule.log_weights + rule.nodes
     split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
     out = np.empty(npoints)
@@ -276,22 +302,29 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     log_scaled = math.log(tol) + q * math.log(s)  # ln(tol s^q)
     log_f = log_scaled + math.log(0.75)
     clip = _CLIP_LENGTHS * s  # 40 decay lengths of e^{-(t - tau) r}: clip (1 - x) / x
-    declared = problem.window is not None
+    window = problem.window
+    if window is not None:
+        # at x = 1 the boundary-layer limit W(r) r -> d_upper(t)
+        f0, f1 = s * _finite(window(s, 0.0), t), s * _finite(problem.d_upper(t), t)
 
-    @functools.cache  # QAWS samples x = 0, x = 1 and shared subinterval ends again
-    def f(x: float) -> float:
-        if declared:  # at x = 1 the boundary-layer limit W(r) r -> d_upper(t)
+        def integrand(x: float) -> float:
             if x == 1.0:
-                return s * _finite(problem.d_upper(t), t)
-            return s / (1.0 - x) * _finite(problem.window(s, x / (1.0 - x)), t)
-        if x <= _CLIP_LENGTHS * (1.0 - x):
-            return s / (1.0 - x) * _window(problem, t, s, x / (1.0 - x),
-                                           log_f + math.log(1.0 - x) - math.log(s))
-        return clip / x * _window(problem, t, clip * (1.0 - x) / x, _CLIP_LENGTHS,
-                                  log_f + math.log(x) - math.log(clip))
+                return f1
+            return s / (1.0 - x) * _finite(window(s, x / (1.0 - x)), t) - (1.0 - x) * f0
+    else:
+        @functools.cache  # QAWS samples x = 0, x = 1 and shared subinterval ends again
+        def f(x: float) -> float:
+            if x <= _CLIP_LENGTHS * (1.0 - x):
+                return s / (1.0 - x) * _window(problem, t, s, x / (1.0 - x),
+                                               log_f + math.log(1.0 - x) - math.log(s))
+            return clip / x * _window(problem, t, clip * (1.0 - x) / x, _CLIP_LENGTHS,
+                                      log_f + math.log(x) - math.log(clip))
 
-    f0 = f(0.0)
-    rest = _adaptive_integral(lambda x: f(x) - (1.0 - x) * f0, 0.0, 1.0,
+        def integrand(x: float) -> float:
+            return f(x) - (1.0 - x) * f0
+
+        f0 = f(0.0)
+    rest = _adaptive_integral(integrand, 0.0, 1.0,
                               _bounded_exp(log_scaled - math.log(4.0 * c)),
                               weight="alg", wvar=(q - 1.0, -q))
     return ((1.0 - q) * f0 + c * rest) / s**q
@@ -384,19 +417,33 @@ def _power_derivative(
     return deriv, abs(deriv(T, _a=0.0)) if expo >= 0.0 else None
 
 
-def _unit_integral(z: complex) -> complex:
-    """int_0^1 e^{-z v} dv = (1 - e^{-z}) / z for Re z >= 0, each part to a few
-    ulp of the magnitude: its Taylor series where |z| <= 1/2, else 1 - e^{-z}
-    formed with expm1 and 1 - cos(Im z) = 2 sin^2(Im z / 2)."""
-    if abs(z) <= 0.5:
-        term, total = 1.0 + 0j, 0j
-        for n in range(2, 18):  # (-z)^k / (k + 1)! for k <= 15, below 2^-60 of the sum
-            total += term
-            term *= -z / n
-        return total
+def _unit_series(z):
+    """int_0^1 e^{-z v} dv by its Taylor series, for |z| <= 1/2 (z or a complex array)."""
+    term, total = 1.0 + 0j, 0j
+    for n in range(2, 18):  # (-z)^k / (k + 1)! for k <= 15, below 2^-60 of the sum
+        total += term
+        term *= -z / n
+    return total
+
+
+def _unit_integral(z):
+    """int_0^1 e^{-z v} dv = (1 - e^{-z}) / z for Re z >= 0, elementwise for a
+    complex array, each part to a few ulp of the magnitude: its Taylor series
+    where |z| <= 1/2, else 1 - e^{-z} formed with expm1 and 1 - cos(Im z) =
+    2 sin^2(Im z / 2)."""
+    if not isinstance(z, np.ndarray):
+        if abs(z) <= 0.5:
+            return _unit_series(z)
+        lam, s = z.real, z.imag
+        return complex(2.0 * math.sin(0.5 * s) ** 2 - math.expm1(-lam) * math.cos(s),
+                       math.exp(-lam) * math.sin(s)) / z
+    near = np.abs(z) <= 0.5
     lam, s = z.real, z.imag
-    return complex(2.0 * math.sin(0.5 * s) ** 2 - math.expm1(-lam) * math.cos(s),
-                   math.exp(-lam) * math.sin(s)) / z
+    with np.errstate(all="ignore"):  # the entries near 0 are replaced below
+        out = (2.0 * np.sin(0.5 * s) ** 2 - np.expm1(-lam) * np.cos(s)
+               + 1j * (np.exp(-lam) * np.sin(s))) / z
+    out[near] = _unit_series(z[near])
+    return out
 
 
 def _power_window(p: float, m: int) -> Callable[[float, float], float]:
@@ -405,19 +452,25 @@ def _power_window(p: float, m: int) -> Callable[[float, float], float]:
     That derivative is C u^e at u = tau - a, e = p - m, and int_0^1 (1 - v)^e
     e^{-decay v} dv is M(1, e + 2, -decay) / (e + 1), Kummer's function
     (DLMF 13.4.1), so the window is C S^e M(1, e + 2, -decay) / (e + 1); it
-    is 0 for integer p below m and inf where S^e overflows.
+    is 0 for integer p below m and inf where S^e overflows.  Scalar decays
+    share a bounded memo of M: the outer QAWS integral of
+    ``reference_quadrature`` samples the same decays at every time.
     """
     if p == int(p) and m > p:
-        return lambda span, decay: 0.0
+        return lambda span, decay: 0.0 * decay  # 0, or zeros shaped like decay
     expo = p - m
     coeff = math.gamma(p + 1.0) / math.gamma(expo + 2.0)  # C / (e + 1)
+    kummer = functools.lru_cache(maxsize=1024)(
+        lambda decay: float(special.hyp1f1(1.0, expo + 2.0, -decay)))
 
     def window(span: float, decay: float) -> float:
         try:
             scale = coeff * span**expo
         except OverflowError:
-            return math.inf
-        return scale * float(special.hyp1f1(1.0, expo + 2.0, -decay))
+            scale = math.inf  # M(1, e + 2, -decay) > 0
+        if isinstance(decay, np.ndarray):
+            return scale * special.hyp1f1(1.0, expo + 2.0, -decay)
+        return scale * kummer(decay)
 
     return window
 
@@ -436,7 +489,7 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
         if p == int(p) or p > m - 1:
             exact, _ = _power_derivative(p, alpha, a, T)
             window = _power_window(p, m)
-        if p != int(p) and p > m - 1:
+        if p > m - 1:
             # d_upper(a + u) = coeff u^{p - m}, integrable at a since p - m > -1
             coeff = math.gamma(p + 1.0) / math.gamma(p - m + 1.0)
             singular = (p - m, lambda u, _c=coeff: _c)
@@ -459,11 +512,14 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
                 return math.inf
 
         def window(span: float, decay: float) -> float:
-            # e^S int_0^1 e^{-(decay + S) v} dv
+            # e^S int_0^1 e^{-z v} dv = e^S (1 - e^{-z}) / z, real z = decay + S > 0
             try:
-                return math.exp(span) * _unit_integral(complex(decay + span)).real
+                scale = math.exp(span)
             except OverflowError:
-                return math.inf
+                scale = math.inf
+            z = decay + span
+            expm1 = np.expm1 if isinstance(decay, np.ndarray) else math.expm1
+            return scale * (-expm1(-z) / z)
 
         sup = fn(T, 0.0)  # e^T, inf where that overflows
         return TestFunction(
@@ -484,7 +540,7 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
         def window(span: float, decay: float, _turn: complex = 1j**m) -> float:
             # sin(x + m pi / 2) = Im i^m e^{ix}, so V = Im i^m e^{iS} J(decay + iS)
             turned = _turn * complex(math.cos(span), math.sin(span))
-            return (turned * _unit_integral(complex(decay, span))).imag
+            return (turned * _unit_integral(decay + 1j * span)).imag
 
         return TestFunction(
             name=name,

@@ -22,6 +22,7 @@ from diffcap import (
     brute_force_caputo,
     corpus_function,
     corpus_names,
+    decompose_error,
     exact_combination,
     exact_phi,
     gauss_laguerre_rule,
@@ -29,6 +30,7 @@ from diffcap import (
     fractional_part,
     reference_quadrature,
     signed_prefactor,
+    uniform_grid,
 )
 from diffcap import oracle
 from diffcap.oracle import require_d_upper_plus
@@ -260,6 +262,34 @@ class _CountingIntegrate:
         return self._module.quad(*args, **kwargs)
 
 
+class _CountingSpecial:
+    """Stands in for ``scipy.special``: counts hyp1f1 calls on scalar and on array decays."""
+
+    def __init__(self, module) -> None:
+        self._module = module
+        self.scalar_calls = self.array_calls = 0
+
+    def hyp1f1(self, a, b, x):
+        if isinstance(x, np.ndarray):
+            self.array_calls += 1
+        else:
+            self.scalar_calls += 1
+        return self._module.hyp1f1(a, b, x)
+
+
+class _CountingWindow:
+    def __init__(self, fn) -> None:
+        self._fn = fn
+        self.scalar_calls = self.array_calls = 0
+
+    def __call__(self, span, decay):
+        if isinstance(decay, np.ndarray):
+            self.array_calls += 1
+        else:
+            self.scalar_calls += 1
+        return self._fn(span, decay)
+
+
 class _CountingForcing:
     def __init__(self, fn) -> None:
         self._fn = fn
@@ -277,18 +307,65 @@ def test_reference_quadrature_takes_one_outer_qaws_integral(name, t, max_samples
     # with 2751 (pow2) and 2709 (sin) d_upper samples, each outer abscissa
     # evaluated once, on the quadrature path: counts, unlike timings, repeat
     # exactly.  With the declared windows one quad call is left, the outer
-    # integral, and one d_upper sample, at t for F(1)
+    # integral, and one d_upper sample, at t for F(1).  pow2's declared
+    # singular part is stripped too, so its windows sample d_upper
     counter = _CountingIntegrate(oracle.integrate)
     monkeypatch.setattr(oracle, "integrate", counter)
     problem = make_problem(name, 0.5)
     forcing = _CountingForcing(problem.d_upper)
-    reference_quadrature(dataclasses.replace(problem, d_upper=forcing, window=None), t, 1e-9)
+    reference_quadrature(dataclasses.replace(problem, d_upper=forcing, window=None,
+                                             singular_part=None), t, 1e-9)
     assert counter.alg_calls == 1
     assert counter.quad_calls <= 300
     assert forcing.calls <= max_samples
     counter.quad_calls = counter.alg_calls = forcing.calls = 0
     reference_quadrature(dataclasses.replace(problem, d_upper=forcing), t, 1e-9)
     assert (counter.quad_calls, counter.alg_calls, forcing.calls) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("name, alpha, n_steps, npoints", [("pow2", 0.7, 8, 10),
+                                                           ("pow3", 2.4, 12, 20)])
+def test_a_request_takes_kummer_once_per_outer_node_and_one_window_call_per_time(
+        name, alpha, n_steps, npoints, monkeypatch):
+    # reference_quadrature's outer QAWS integral samples the same decays
+    # x / (1 - x) at every time, and the power windows keep M(1, e + 2, -decay)
+    # for scalar decays, so one decompose_error request calls scalar hyp1f1 at
+    # most once per distinct outer node; exact_combination takes each time's
+    # 2K nodes in one array call.  Counts, unlike timings, repeat exactly
+    special = _CountingSpecial(scipy.special)
+    monkeypatch.setattr(oracle, "special", special)
+    q, outer_nodes = fractional_part(alpha), set()
+
+    def quad(f, lo, hi, **kwargs):
+        if kwargs.get("wvar") == (q - 1.0, -q):  # reference_quadrature's outer integral
+            def sampled(x, _f=f):
+                outer_nodes.add(x)
+                return _f(x)
+            return scipy.integrate.quad(sampled, lo, hi, **kwargs)
+        return scipy.integrate.quad(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate", types.SimpleNamespace(quad=quad))
+    problem = make_problem(name, alpha, a=0.3, T=2.0)
+    window = _CountingWindow(problem.window)
+    decompose_error(dataclasses.replace(problem, window=window), gauss_laguerre_rule(npoints),
+                    uniform_grid(0.3, 2.0, n_steps), truth_tol=1e-9)
+    assert special.scalar_calls <= len(outer_nodes)
+    assert window.scalar_calls >= 5 * special.scalar_calls  # the memo is what saves
+    assert window.array_calls == special.array_calls == n_steps  # every time after a
+
+
+def test_reference_quadrature_reads_the_same_with_a_warm_kummer_memo(monkeypatch):
+    # the memo keeps what hyp1f1 returned, so warming it with other times
+    # leaves every value bit for bit, and the warm call needs no new hyp1f1
+    special = _CountingSpecial(scipy.special)
+    monkeypatch.setattr(oracle, "special", special)
+    fresh = reference_quadrature(make_problem("pow2", 0.7, a=0.3, T=2.0), 2.3, 1e-9)
+    problem = make_problem("pow2", 0.7, a=0.3, T=2.0)
+    for t in (0.55, 1.3, 1.8):
+        reference_quadrature(problem, t, 1e-9)
+    special.scalar_calls = 0
+    assert reference_quadrature(problem, 2.3, 1e-9).hex() == fresh.hex()
+    assert special.scalar_calls == 0
 
 
 @pytest.mark.parametrize("alpha, max_samples", [(0.5, 1200), (2.3, 2000)])
@@ -499,31 +576,75 @@ def test_hyp1f1_meets_40_digits_where_the_power_law_windows_call_it(b):
             assert abs(value - exact) <= 2e-14 * abs(exact), (decay, value)
 
 
+_WINDOW_SPANS = (5e-324, 1e-300, 1e-8, 0.002, 0.3, 0.49, 0.51, 1.0, 2.0 * math.pi, 30.0, 1e8)
+_WINDOW_DECAYS = (0.0, 1e-300, 1e-8, 0.01, 0.3, 0.49, 0.51, 1.0, 40.0, 1e8, 2.0**60)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_elementary_windows_match_their_closed_forms(m):
     # V(S, decay) = int_0^1 d_upper(a + S (1 - v)) e^{-decay v} dv for
     # d_upper = sin(tau - a + m pi / 2) and e^{tau - a}, on both sides of the
-    # Taylor branch at |decay + iS| = 1/2, at subnormal and long spans; where
+    # Taylor branch at |decay + iS| = 1/2, at subnormal and long spans, one
+    # decay at a time and all decays of a span in one array call; where
     # V = -S / 2 is subnormal it may round to its neighbour
     sin_window = corpus_function("sin", m - 0.5).window
     exp_window = corpus_function("exp", m - 0.5).window
     st, ct = (0, 1, 0, -1)[m % 4], (1, 0, -1, 0)[m % 4]
-    spans = (5e-324, 1e-300, 1e-8, 0.002, 0.3, 0.49, 0.51, 1.0, 2.0 * math.pi, 30.0, 1e8)
-    decays = (0.0, 1e-300, 1e-8, 0.01, 0.3, 0.49, 0.51, 1.0, 40.0, 1e8, 2.0**60)
     with mpmath.workdps(700):  # the closed form cancels to (S^2 + decay^2) / 2 at 1e-300
-        for span in map(mpmath.mpf, spans):
+        for span in map(mpmath.mpf, _WINDOW_SPANS):
             # sin(S + m pi / 2) and cos(S + m pi / 2), with the quarter turns exact
             sin_b = st * mpmath.cos(span) + ct * mpmath.sin(span)
             cos_b = ct * mpmath.cos(span) - st * mpmath.sin(span)
-            for decay in map(mpmath.mpf, decays):
+            sin_values = sin_window(float(span), np.array(_WINDOW_DECAYS))
+            exp_values = exp_window(float(span), np.array(_WINDOW_DECAYS))
+            for k, decay in enumerate(map(mpmath.mpf, _WINDOW_DECAYS)):
                 exact = (decay * sin_b - span * cos_b
                          - mpmath.exp(-decay) * (decay * st - span * ct)) / (decay**2 + span**2)
-                value = sin_window(float(span), float(decay))
-                assert abs(value - exact) <= 1e-14 * abs(exact) + 5e-324, (span, decay, value)
+                for value in (sin_window(float(span), float(decay)), sin_values[k]):
+                    assert abs(value - exact) <= 1e-14 * abs(exact) + 5e-324, (span, decay, value)
                 if span < 700:
                     exact = mpmath.exp(span) * -mpmath.expm1(-(span + decay)) / (span + decay)
-                    value = exp_window(float(span), float(decay))
-                    assert abs(value - exact) <= 1e-14 * abs(exact) + 5e-324, (span, decay, value)
+                    for value in (exp_window(float(span), float(decay)), exp_values[k]):
+                        assert abs(value - exact) <= 1e-14 * abs(exact) + 5e-324, (span, decay)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_windows_take_arrays_of_decays(name, m):
+    # one call with an array of decays reads each decay's scalar call within
+    # 1e-15 relative (+-inf where e^S or S^e overflows, as the scalar does)
+    window = corpus_function(name, m - 0.5).window
+    if window is None:  # pow2.5 above order 3: not integrable at a
+        return
+    decays = np.array(_WINDOW_DECAYS)
+    for span in _WINDOW_SPANS:
+        values = window(span, decays)
+        assert isinstance(values, np.ndarray) and values.shape == decays.shape, span
+        for decay, value in zip(_WINDOW_DECAYS, values):
+            scalar = window(span, decay)
+            assert value == scalar or abs(value - scalar) <= 1e-15 * abs(scalar) + 5e-324, (
+                span, decay, value, scalar)
+
+
+@pytest.mark.parametrize("npoints", [8, 64, 256])
+def test_exact_combination_is_a_loop_of_exact_phi(npoints):
+    # one window call per time takes all 2K nodes, and node for node it reads
+    # what exact_phi reads, on both sides of the switch to the boundary-layer
+    # limit at decay (t - a) e^w = 2^60
+    rule = gauss_laguerre_rule(npoints)
+    past_switch = set()
+    for name in corpus_names():
+        for alpha in (0.04, 0.5, 0.96, 2.3):
+            problem, q = make_problem(name, alpha, a=-3.7, T=30.0), fractional_part(alpha)
+            for t in (-3.7 + 1e-6, 26.3):
+                values = exact_combination(problem, rule, t, 1e-10)
+                for x, value in zip(rule.nodes.tolist(), values):
+                    expected = (exact_phi(problem, -x / q, t) / q
+                                + exact_phi(problem, x / (1.0 - q), t) / (1.0 - q))
+                    assert abs(value - expected) <= 1e-15 * abs(expected) + 5e-324, (
+                        name, alpha, t, x, value, expected)
+                    past_switch.add(x / (1.0 - q) + math.log(t + 3.7) > 60.0 * math.log(2.0))
+    assert past_switch == {False, True}
 
 
 def test_data_past_double_range_raises_on_both_paths():
@@ -691,14 +812,20 @@ def test_low_regularity_power_has_singular_next_derivative():
     assert fn.d_upper_plus_sup is None
 
 
+#: every power and order band whose m-th derivative is a power law, p > m - 1
+_DECLARED_POWERS = [(name, alpha) for name, p in oracle._POWER_EXPONENTS.items()
+                    for alpha in (0.5, 1.3, 2.7) if p > math.ceil(alpha) - 1]
+
+
 @pytest.mark.parametrize("a", [0.0, -3.7])
-@pytest.mark.parametrize("alpha", [0.5, 1.3, 2.7])
-def test_declared_singular_part_is_the_data(alpha, a):
-    # one alpha per band: d_upper(a + u) = u^sigma r(u), sigma = 2.5 - m, at the
+@pytest.mark.parametrize("name, alpha", _DECLARED_POWERS)
+def test_declared_singular_part_is_the_data(name, alpha, a):
+    # one alpha per band: d_upper(a + u) = u^sigma r(u), sigma = p - m, at the
     # offsets u = tau - a that d_upper itself forms
-    sigma, r = make_problem("pow2.5", alpha, a=a, T=2.3).singular_part
-    d_upper = corpus_function("pow2.5", alpha, a=a, T=2.3).d_upper
-    assert sigma == 2.5 - math.ceil(alpha)
+    p = oracle._POWER_EXPONENTS[name]
+    sigma, r = make_problem(name, alpha, a=a, T=2.3).singular_part
+    d_upper = corpus_function(name, alpha, a=a, T=2.3).d_upper
+    assert sigma == p - math.ceil(alpha)
     for tau in a + np.linspace(0.0, 2.3, 58)[1:]:
         u = float(tau) - a
         assert u**sigma * r(u) == pytest.approx(d_upper(float(tau)), rel=4e-16)
@@ -714,11 +841,18 @@ def test_every_corpus_entry_declares_a_window_where_its_data_is_integrable():
     assert make_problem("pow2", 2.5).window(1.0, 3.0) == 0.0
 
 
-def test_only_pow2_5_declares_a_singular_part():
+def test_powers_declare_a_singular_part_where_their_data_is_a_power():
+    # (t - a)^p has m-th derivative Gamma(p + 1) / Gamma(p - m + 1) u^{p - m}
+    # wherever p > m - 1; below that it is 0 (integer p) or not integrable
     for name in corpus_names():
         for alpha in (0.5, 1.3, 2.7, 3.5):
-            declared = make_problem(name, alpha).singular_part is not None
-            assert declared == (name == "pow2.5" and alpha < 3.0), (name, alpha)
+            m = math.ceil(alpha)
+            part = make_problem(name, alpha).singular_part
+            p = oracle._POWER_EXPONENTS.get(name)
+            assert (part is not None) == (p is not None and p > m - 1), (name, alpha)
+            if part is not None:
+                assert part[0] == p - m
+                assert part[1](0.0) == math.gamma(p + 1.0) / math.gamma(p - m + 1.0)
 
 
 def test_closed_forms_overflow_to_infinity():
