@@ -583,7 +583,7 @@ _WINDOW_DECAYS = (0.0, 1e-300, 1e-8, 0.01, 0.3, 0.49, 0.51, 1.0, 40.0, 1e8, 2.0*
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_elementary_windows_match_their_closed_forms(m):
     # V(S, decay) = int_0^1 d_upper(a + S (1 - v)) e^{-decay v} dv for
-    # d_upper = sin(tau - a + m pi / 2) and e^{tau - a}, on both sides of the
+    # d_upper = sin(tau - a + m pi / 2) and e^{tau - a}, on both sides of sin's
     # Taylor branch at |decay + iS| = 1/2, at subnormal and long spans, one
     # decay at a time and all decays of a span in one array call; where
     # V = -S / 2 is subnormal it may round to its neighbour
