@@ -4,8 +4,8 @@ Three reference routes are provided:
 
 * ``exact_phi`` evaluates the auxiliary-ODE solution at a fixed time through
   its closed integral form (the derivative data convolved with a pure
-  exponential): in closed form where the problem declares its ``window``,
-  else by adaptive quadrature on an analytically clipped window.
+  exponential), from one window routine: the problem's declared ``window``,
+  else adaptive quadrature on an analytically clipped window.
   ``exact_combination`` folds two such values into the integrand of the
   diffusive representation at every node of a rule, all from one window call.
 * ``reference_quadrature`` integrates the diffusive representation itself
@@ -134,11 +134,11 @@ def _window(
     """int_0^1 d_upper(lo + length (1 - v)) exp(-decay v) dv, to exp(log_tol).
 
     Times ``length``, this is W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau
-    on [lo, t], for decay = length r <= 40: callers clip the window to 40
-    decay lengths.  A full window (length == t - a) keeps lo = a exactly, so
-    tau - a keeps its precision where data singular at a is steepest; a
-    clipped one starts at lo = max(t - length, a), and at length 0 every
-    sample lies at tau = t.  Where the problem declares d_upper(a + u) =
+    on [lo, t], for decay = length r <= 40: ``_quadrature_window`` clips the
+    rest to 40 decay lengths.  A full window (length == t - a) keeps lo = a
+    exactly, so tau - a keeps its precision where data singular at a is
+    steepest; a clipped one starts at lo = max(t - length, a), and at length
+    0 every sample lies at tau = t.  Where the problem declares d_upper(a + u) =
     u^sigma r(u), a full window is length^sigma times a QAWS integral of
     r(length (1 - v)) e^{-decay v} against the weight (1 - v)^sigma, so
     QUADPACK need not bisect toward the singularity at tau = a; length^sigma
@@ -158,21 +158,54 @@ def _window(
                               0.0, 1.0, _bounded_exp(log_tol))
 
 
+def _quadrature_window(
+    problem: DerivativeProblem, t: float, log_tol: float | np.ndarray
+) -> Callable[[float, float], float]:
+    """``window(S, decay)`` by adaptive quadrature, for data that declares none.
+
+    Each decay (a float, or each element of an array) is integrated to
+    e^{log_tol} / (1 + decay), so (1 + decay) V, which stays within the data's
+    range, meets e^{log_tol}; an array ``log_tol`` pairs with the decays.  Up
+    to decay 40, V is one full ``_window``; past it, 40 / decay times a
+    ``_window`` clipped to length 40 S / decay at decay 40, so every sample is
+    well conditioned however thin the boundary layer.  Values are cached per
+    window: QAWS samples x = 0 and shared subinterval ends again.
+    """
+
+    @functools.cache
+    def value(span: float, decay: float, log_tol: float) -> float:
+        log_tol -= math.log1p(decay)
+        if decay <= _CLIP_LENGTHS:
+            return _window(problem, t, span, decay, log_tol)
+        share = _CLIP_LENGTHS / decay
+        return share * _window(problem, t, share * span, _CLIP_LENGTHS, log_tol - math.log(share))
+
+    def window(span: float, decay: float) -> float:
+        if isinstance(decay, np.ndarray):
+            return np.vectorize(value, otypes=[float])(span, decay, log_tol)
+        return value(span, decay, log_tol)
+
+    return window
+
+
 def _finite(value: float, t: float) -> float:
-    """A declared window value or d_upper(t) as a float; OracleError where it is not finite."""
+    """A window value or d_upper(t) as a float; OracleError where it is not finite."""
     if not math.isfinite(value):
-        raise OracleError(f"declared window data at t = {t} is {value}, not a finite number")
+        raise OracleError(f"window or d_upper value at t = {t} is {value}, not a finite number")
     return float(value)
 
 
-def _declared_phi(problem: DerivativeProblem, w: np.ndarray, t: float) -> np.ndarray:
+def _phi(problem: DerivativeProblem, w: np.ndarray, t: float,
+         log_tol: Callable[[], float | np.ndarray]) -> np.ndarray:
     """phi(w, t) = c e^{w q} (t - a) V(t - a, (t - a) e^w) at every w of an array.
 
-    V is the declared window, taken in one call for all decays up to 2^60;
-    past that phi is its boundary-layer limit c d_upper(t) e^{-(1 - q) w}.
-    The magnitude is formed in logs, +-inf where it leaves double range, and
-    w = +-inf keep their limit 0.  A V or d_upper(t) that is not finite raises
-    ``OracleError``.
+    V is the declared window, taken in one call for all decays up to 2^60,
+    else a ``_quadrature_window`` over them, each phi to e^{log_tol()} (a
+    float, or one target per w), formed only on that route.  Past decay 2^60
+    phi is its boundary-layer limit c d_upper(t) e^{-(1 - q) w}, so no
+    quadrature is thrown away.  The magnitude is formed in logs, +-inf where it
+    leaves double range, and w = +-inf keep their limit 0.  A V or d_upper(t)
+    that is not finite raises ``OracleError``.
     """
     a = problem.a
     if t <= a:
@@ -181,47 +214,21 @@ def _declared_phi(problem: DerivativeProblem, w: np.ndarray, t: float) -> np.nda
     q = problem.fractional_part
     log_c, log_decay = math.log(abs(problem.prefactor)), w + math.log(span)
     past = log_decay > _LOG_LIMIT_DECAY
-    raw = problem.window(span, np.exp(np.minimum(log_decay, _LOG_LIMIT_DECAY)))
+    decay = np.exp(np.minimum(log_decay, _LOG_LIMIT_DECAY))
+    log_scale = np.where(past, log_c - (1.0 - q) * w, log_c + q * w + math.log(span))
+    if problem.window is not None:
+        raw = problem.window(span, decay)
+    else:
+        near, raw = ~past, np.zeros_like(w)
+        targets = (log_tol() - log_scale + np.log1p(decay))[near]  # V's targets, per w
+        raw[near] = _quadrature_window(problem, t, targets)(span, decay[near])
     if past.any():
         raw = np.where(past, problem.d_upper(t), raw)
     finite = np.isfinite(raw)
     if not finite.all():
         _finite(raw[~finite][0], t)  # raises, naming the first such value
-    log_scale = np.where(past, log_c - (1.0 - q) * w, log_c + q * w + math.log(span))
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; exp past range = inf
         return np.copysign(np.exp(log_scale + np.log(np.abs(raw))), raw)
-
-
-def _phi_integral(problem: DerivativeProblem, w: float, t: float, abs_tol: float) -> float:
-    """phi(w, t) = c e^{w q} W(e^w), W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau,
-    for a problem that declares no ``window``.
-
-    W is one ``_window`` of length L = min(t - a, 40 e^{-w}), so every
-    quadrature sample is well conditioned no matter how thin the boundary
-    layer is.  Where the window is clipped, ln L = ln 40 - w is carried in
-    logs and the magnitude is formed from ln 40 - (1 - q) w: it stays right
-    where 40 e^{-w} underflows (phi ~ c d_upper(t) e^{-(1 - q) w} is not
-    small when q is near 1), and w = +-inf keep their limit 0.  No
-    tolerance-range validation: internal callers derive tolerances that scale
-    with e^{-w} and may fall below the public floor.
-    """
-    a = problem.a
-    if t <= a:
-        return 0.0
-    span = t - a
-    q = problem.fractional_part
-    c = problem.prefactor
-    if w > math.log(_CLIP_LENGTHS) - math.log(span):
-        length, decay = _CLIP_LENGTHS * math.exp(-w), _CLIP_LENGTHS
-        log_scale = math.log(_CLIP_LENGTHS) - (1.0 - q) * w  # q w + ln L
-    else:
-        # this branch means span e^w <= 40 exactly; min only absorbs
-        # floating-point fuzz at the branch boundary
-        length, decay = span, min(span * math.exp(w), _CLIP_LENGTHS)
-        log_scale = q * w + math.log(span)
-    log_scale += math.log(abs(c))
-    # target on the unit-interval integral so the scaled error stays <= abs_tol
-    return _scaled(_window(problem, t, length, decay, math.log(abs_tol) - log_scale), log_scale)
 
 
 def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12) -> float:
@@ -236,62 +243,53 @@ def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12
     t = _validate_time(problem, t)
     if math.isnan(w):
         raise InvalidParameterError("w must be a number, got nan")
-    if problem.window is not None:
-        return float(_declared_phi(problem, np.array([float(w)]), t)[0])
-    return _phi_integral(problem, float(w), t, tol)
+    return float(_phi(problem, np.array([float(w)]), t, lambda: math.log(tol))[0])
 
 
 def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float) -> np.ndarray:
     """Per-node reference values of e^{-x_k} times the folded integrand at x_k.
 
-    ``rule`` supplies ``nodes`` x_k and ``log_weights`` ln a_k.  Node
-    tolerances are split so the weighted sum over all nodes, with weights
-    a_k e^{x_k}, stays within ``budget``, which must lie in [TOL_MIN, TOL_MAX].
-    A problem that declares ``window`` takes all 2K values of phi from one
-    window call.
+    ``rule`` supplies ``nodes`` x_k and ``log_weights`` ln a_k, and all 2K
+    values of phi come from one ``_phi`` call.  The weighted sum over all
+    nodes, with weights a_k e^{x_k}, stays within ``budget``, which must lie
+    in [TOL_MIN, TOL_MAX]: on the quadrature route, node targets split it.
     """
     budget = _validate_tol(budget)
     t = _validate_time(problem, t)
     q = problem.fractional_part
     npoints = len(rule.nodes)
-    if problem.window is not None:
-        phi = _declared_phi(problem, np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q))), t)
-        return phi[:npoints] / q + phi[npoints:] / (1.0 - q)
-    coef_log = rule.log_weights + rule.nodes
-    split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
-    out = np.empty(npoints)
-    for k, x in enumerate(rule.nodes):
-        node_tol = _bounded_exp(split - coef_log[k])
-        out[k] = (_phi_integral(problem, -x / q, t, node_tol) / q
-                  + _phi_integral(problem, x / (1.0 - q), t, node_tol) / (1.0 - q))
-    return out
+
+    def node_log_tols() -> np.ndarray:
+        split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
+        return np.tile(split - (rule.log_weights + rule.nodes), 2)
+
+    phi = _phi(problem, np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q))), t,
+               node_log_tols)
+    return phi[:npoints] / q + phi[npoints:] / (1.0 - q)
 
 
 def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:
     """High-accuracy derivative value via the diffusive integral itself.
 
     The derivative is int phi(w, t) dw over the whole w line, with
-    phi(w, t) = c e^{q w} W(e^w) as in ``_phi_integral``.  In the logistic
+    phi(w, t) = c e^{q w} s V(s, s e^w) as in ``_phi``.  In the logistic
     variable x, e^w = x / ((1 - x) s) with s = t - a, so that
     dw = dx / (x (1 - x)) and x = 1/2 is e^w = 1/s:
 
-        c s^{-q} int_0^1 x^{q-1} (1 - x)^{-q} F(x) dx,  F(x) = W(r) / (1 - x),
+        c s^{-q} int_0^1 x^{q-1} (1 - x)^{-q} F(x) dx,  F(x) = s V(s, d) / (1 - x),
 
-    r = x / ((1 - x) s), so a full window has decay s r = x / (1 - x) on
-    every span.  F is smooth on [0, 1] and finite at both ends
-    (F(0) = W(0) is the integral of d_upper, F(1) = s d_upper(t)), so this
-    is one QAWS integral (``weight="alg"``) with no cut of the w range.
-    (1 - x) F(0) is taken out in closed form, c int x^{q-1} (1 - x)^{1-q} dx
-    = 1 - q, so the exponent q - 1, which QAWS rounds as (q - 1) + 1,
-    weights a function that vanishes at 0; both terms use the same F(0), so
-    its error cancels to first order.  The outer integral takes a quarter of
-    tol and the F values the rest: c int x^{q-1} (1 - x)^{-q} dx = 1, so an
-    F error delta moves the value by delta s^{-q}.  A problem that declares
-    ``window`` takes every F(x < 1) from it and F(1) from d_upper(t).
-    Otherwise a window past 40 decay lengths is clipped to length
-    40 s (1 - x) / x, and F is 40 s / x times its unit integral, so x = 1
-    samples tau = t alone.  The returned value carries an estimated error of
-    at most about tol.
+    with decay d = x / (1 - x) on every span.  F is smooth on [0, 1] and
+    finite at both ends (F(0) = s V(s, 0) is the integral of d_upper,
+    F(1) = s d_upper(t)), so this is one QAWS integral (``weight="alg"``)
+    with no cut of the w range.  (1 - x) F(0) is taken out in closed form,
+    c int x^{q-1} (1 - x)^{1-q} dx = 1 - q, so the exponent q - 1, which
+    QAWS rounds as (q - 1) + 1, weights a function that vanishes at 0; both
+    terms use the same F(0), so its error cancels to first order.  The outer
+    integral takes a quarter of tol and the F values the rest:
+    c int x^{q-1} (1 - x)^{-q} dx = 1, so an F error delta moves the value
+    by delta s^{-q}; F = s (1 + d) V, so a ``_quadrature_window`` takes V to
+    0.75 tol s^q / s.  The returned value carries an estimated error of at
+    most about tol.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
@@ -300,30 +298,16 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     q, c = problem.fractional_part, problem.prefactor
     s = t - problem.a
     log_scaled = math.log(tol) + q * math.log(s)  # ln(tol s^q)
-    log_f = log_scaled + math.log(0.75)
-    clip = _CLIP_LENGTHS * s  # 40 decay lengths of e^{-(t - tau) r}: clip (1 - x) / x
-    window = problem.window
-    if window is not None:
-        # at x = 1 the boundary-layer limit W(r) r -> d_upper(t)
-        f0, f1 = s * _finite(window(s, 0.0), t), s * _finite(problem.d_upper(t), t)
+    window = problem.window or _quadrature_window(
+        problem, t, log_scaled + math.log(0.75) - math.log(s))
+    # at x = 1 the boundary-layer limit (1 + d) V -> d_upper(t)
+    f0, f1 = s * _finite(window(s, 0.0), t), s * _finite(problem.d_upper(t), t)
 
-        def integrand(x: float) -> float:
-            if x == 1.0:
-                return f1
-            return s / (1.0 - x) * _finite(window(s, x / (1.0 - x)), t) - (1.0 - x) * f0
-    else:
-        @functools.cache  # QAWS samples x = 0, x = 1 and shared subinterval ends again
-        def f(x: float) -> float:
-            if x <= _CLIP_LENGTHS * (1.0 - x):
-                return s / (1.0 - x) * _window(problem, t, s, x / (1.0 - x),
-                                               log_f + math.log(1.0 - x) - math.log(s))
-            return clip / x * _window(problem, t, clip * (1.0 - x) / x, _CLIP_LENGTHS,
-                                      log_f + math.log(x) - math.log(clip))
+    def integrand(x: float) -> float:
+        if x == 1.0:
+            return f1
+        return s / (1.0 - x) * _finite(window(s, x / (1.0 - x)), t) - (1.0 - x) * f0
 
-        def integrand(x: float) -> float:
-            return f(x) - (1.0 - x) * f0
-
-        f0 = f(0.0)
     rest = _adaptive_integral(integrand, 0.0, 1.0,
                               _bounded_exp(log_scaled - math.log(4.0 * c)),
                               weight="alg", wvar=(q - 1.0, -q))

@@ -303,8 +303,8 @@ class _CountingForcing:
 @pytest.mark.parametrize("name, t, max_samples", [("pow2", 1.0, 4000), ("sin", 0.7, 6300)])
 def test_reference_quadrature_takes_one_outer_qaws_integral(name, t, max_samples, monkeypatch):
     # one QAWS integral over the whole w line, with weights at both ends of
-    # its logistic variable, makes 86 quad calls here for pow2 and for sin,
-    # with 2751 (pow2) and 2709 (sin) d_upper samples, each outer abscissa
+    # its logistic variable, makes 85 quad calls here for pow2 and for sin,
+    # with 2647 (pow2) and 2605 (sin) d_upper samples, each outer abscissa
     # evaluated once, on the quadrature path: counts, unlike timings, repeat
     # exactly.  With the declared windows one quad call is left, the outer
     # integral, and one d_upper sample, at t for F(1).  pow2's declared
@@ -630,21 +630,63 @@ def test_corpus_windows_take_arrays_of_decays(name, m):
 def test_exact_combination_is_a_loop_of_exact_phi(npoints):
     # one window call per time takes all 2K nodes, and node for node it reads
     # what exact_phi reads, on both sides of the switch to the boundary-layer
-    # limit at decay (t - a) e^w = 2^60
+    # limit at decay (t - a) e^w = 2^60: to rounding with a declared window,
+    # and within the oracle allowance on the quadrature route, whose node
+    # targets differ from exact_phi's (K = 256 takes the declared route only)
     rule = gauss_laguerre_rule(npoints)
+    budget = 1e-10
     past_switch = set()
     for name in corpus_names():
         for alpha in (0.04, 0.5, 0.96, 2.3):
-            problem, q = make_problem(name, alpha, a=-3.7, T=30.0), fractional_part(alpha)
-            for t in (-3.7 + 1e-6, 26.3):
-                values = exact_combination(problem, rule, t, 1e-10)
-                for x, value in zip(rule.nodes.tolist(), values):
-                    expected = (exact_phi(problem, -x / q, t) / q
-                                + exact_phi(problem, x / (1.0 - q), t) / (1.0 - q))
-                    assert abs(value - expected) <= 1e-15 * abs(expected) + 5e-324, (
-                        name, alpha, t, x, value, expected)
-                    past_switch.add(x / (1.0 - q) + math.log(t + 3.7) > 60.0 * math.log(2.0))
+            q = fractional_part(alpha)
+            node_tols = np.maximum(budget * min(q, 1.0 - q) / (4.0 * npoints)
+                                   * np.exp(-rule.log_weights - rule.nodes), 1e-12)
+            paths = _both_paths(make_problem(name, alpha, a=-3.7, T=30.0))
+            for problem in paths[:1] if npoints > 64 else paths:
+                for t in (-3.7 + 1e-6, 26.3):
+                    values = exact_combination(problem, rule, t, budget)
+                    for x, tol, value in zip(rule.nodes.tolist(), node_tols, values):
+                        lo, hi = exact_phi(problem, -x / q, t), exact_phi(problem, x / (1.0 - q), t)
+                        expected = lo / q + hi / (1.0 - q)
+                        if problem.window is None:
+                            allowance = 2.0 * (max(tol, 5e-13 * abs(lo)) / q
+                                               + max(tol, 5e-13 * abs(hi)) / (1.0 - q))
+                        else:
+                            allowance = 1e-15 * abs(expected) + 5e-324
+                        assert abs(value - expected) <= allowance, (
+                            name, alpha, t, x, value, expected, problem.window is None)
+                        past_switch.add(x / (1.0 - q) + math.log(t + 3.7)
+                                        > 60.0 * math.log(2.0))
     assert past_switch == {False, True}
+
+
+@pytest.mark.parametrize("name, alpha, quad_calls", [("pow2", 0.5, 87), ("exp", 0.9, 74)])
+def test_the_quadrature_route_integrates_only_what_it_uses(name, alpha, quad_calls, monkeypatch):
+    # data that declares no window takes one quad per node with decay
+    # (t - a) e^w <= 2^60 and none past it, where phi is its boundary-layer
+    # limit: 87 (pow2) and 74 (exp) of the 128 nodes at K = 64 and t - a = 1
+    rule = gauss_laguerre_rule(64)
+    q = fractional_part(alpha)
+    w = np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q)))
+    assert np.count_nonzero(w <= 60.0 * math.log(2.0)) == quad_calls
+    counter = _CountingIntegrate(oracle.integrate)
+    monkeypatch.setattr(oracle, "integrate", counter)
+    problem = dataclasses.replace(make_problem(name, alpha), window=None, singular_part=None)
+    values = exact_combination(problem, rule, 1.0, 1e-10)
+    assert np.isfinite(values).all()
+    assert counter.quad_calls == quad_calls
+    for w, calls in ((60.0 * math.log(2.0) - 0.5, 1), (60.0 * math.log(2.0) + 0.5, 0)):
+        counter.quad_calls = 0
+        assert math.isfinite(exact_phi(problem, w, 1.0))
+        assert counter.quad_calls == calls, w
+
+
+def test_undeclared_data_that_is_nan_at_t_raises_naming_t():
+    # past decay 2^60 phi takes d_upper(t) as it is, on the quadrature route too
+    problem = DerivativeProblem(alpha=0.5, a=0.0, T=1.0,
+                                d_upper=lambda tau: math.nan if tau == 0.75 else 1.0)
+    with pytest.raises(OracleError, match=r"at t = 0\.75 is nan"):
+        exact_phi(problem, 60.0, 0.75)
 
 
 def test_data_past_double_range_raises_on_both_paths():
