@@ -27,6 +27,7 @@ from .diffusive import DerivativeProblem, TimeGrid, uniform_grid
 from .diffusive import build_system  # noqa: F401 - perfbench/tracing.py rebinds this name
 from .errors import InsufficientDataError, InvalidParameterError
 from .oracle import (
+    _combinations,
     _validate_tol,
     brute_force_caputo,
     exact_combination,
@@ -96,13 +97,15 @@ def _rule_sum(problem: DerivativeProblem, rule: QuadratureRule, t: float, truth_
 def _walk(
     problem: DerivativeProblem, rule: QuadratureRule, grid: TimeGrid, method: str, truth_tol: float
 ) -> tuple[list[float], np.ndarray, list[float]]:
-    """The oracles' time, the scheme's value and ``_rule_sum`` at every grid index.  The
-    scheme runs first, so no oracle sees a grid it rejects; index 0 is a, where the
-    state is zero, and later times are moved into [a, a + T] from _check_grid's slack."""
+    """The oracles' time, the scheme's value and ``_rule_sum`` at every grid index, one
+    product per chunk of times.  The scheme runs first, so no oracle sees a grid it rejects;
+    index 0 is a, where the state is zero; later times are clamped into [a, a + T]."""
     values = evaluate_derivative(problem, rule, grid, method=method)
     a, end = problem.a, problem.end
     times = [a] + [min(max(t, a), end) for t in grid.points[1:].tolist()]
-    return times, values, [_rule_sum(problem, rule, t, truth_tol) for t in times]
+    coefficients = quadrature_coefficients(rule)  # once per walk
+    return times, values, [total for chunk in _combinations(problem, rule, times, truth_tol)
+                           for total in (chunk @ coefficients).tolist()]
 
 
 def decompose_error(

@@ -71,12 +71,12 @@ class DerivativeProblem:
     the a-priori ODE-error constant.  ``singular_part`` optionally declares
     the power-law part of the data at a: the pair (sigma, r) states
     d_upper(a + u) = u^sigma r(u) for 0 < u <= T, with sigma > -1 and r
-    finite at u = 0.  ``window`` optionally declares the unit window in
-    closed form: window(S, decay) is int_0^1 d_upper(a + S (1 - v))
-    e^{-decay v} dv for 0 < S <= T and finite decay >= 0, a float or a float64
-    ndarray taken elementwise like a ufunc (the oracles call it up to decay
-    2^60, with arrays for all nodes of a rule, and take the limit d_upper(t) /
-    decay beyond).  Only the oracles read these two; the scheme never does.
+    finite at u = 0.  ``window`` optionally declares the unit window in closed
+    form: window(S) binds a span 0 < S <= T, and V = window(S) maps decay >= 0
+    to int_0^1 d_upper(a + S (1 - v)) e^{-decay v} dv, a float for a float and
+    elementwise like a ufunc for a float64 ndarray, which an array S broadcasts
+    against (the oracles call V up to decay 2^60 and take d_upper(t) / decay
+    beyond).  Only the oracles read these two; the scheme never does.
     The float order, its derived constants and the end a + T are computed
     once, on construction.
     """
@@ -87,7 +87,7 @@ class DerivativeProblem:
     d_upper: Callable[[float], float]
     d_upper_plus: Callable[[float], float] | None = None
     singular_part: tuple[float, Callable[[float], float]] | None = None
-    window: Callable[[float, float], float] | None = None
+    window: Callable[[float], Callable[[float], float]] | None = None
     ceil_order: int = field(init=False)
     fractional_part: float = field(init=False)
     prefactor: float = field(init=False)

@@ -5,7 +5,7 @@ Three reference routes are provided:
 * ``exact_phi`` evaluates the auxiliary-ODE solution at a fixed time through
   its closed integral form (the derivative data convolved with a pure
   exponential), from one window routine: the problem's declared ``window``,
-  else adaptive quadrature on an analytically clipped window.
+  bound to the span t - a, else quadrature on an analytically clipped window.
   ``exact_combination`` folds two such values into the integrand of the
   diffusive representation at every node of a rule, all from one window call.
 * ``reference_quadrature`` integrates the diffusive representation itself
@@ -21,8 +21,8 @@ quadrature or stepping modules they are used to check; ``scipy.integrate`` is
 imported on the first quadrature, not with this module.  A declared window
 replaces only the inner integrals over the data, so ``brute_force_caputo``
 and the outer w-integral stay independent routes.  A small corpus of test
-functions with hand-written derivatives, closed-form windows (elementwise over
-arrays of decays) and closed-form values rounds out the module.
+functions with hand-written derivatives, closed-form windows bound to a span
+(or a column of spans) and closed-form values rounds out the module.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ _TOL_FLOOR, _TOL_CEIL = 1e-300, 1e6  # _bounded_exp's clamp of derived tolerance
 #: decay lengths kept when clipping the boundary-layer window; exp(-40) is
 #: below double resolution of the remaining integral
 _CLIP_LENGTHS = 40.0
+#: times per window call in ``_combinations``, so a walk's extra memory is O(K)
+_CHUNK = 64
 
 
 class _LazyModule:
@@ -160,8 +162,8 @@ def _window(
 
 def _quadrature_window(
     problem: DerivativeProblem, t: float, log_tol: float | np.ndarray
-) -> Callable[[float, float], float]:
-    """``window(S, decay)`` by adaptive quadrature, for data that declares none.
+) -> Callable[[float], float]:
+    """V(decay) at span S = t - a by adaptive quadrature, for data that declares none.
 
     Each decay (a float, or each element of an array) is integrated to
     e^{log_tol} / (1 + decay), so (1 + decay) V, which stays within the data's
@@ -173,17 +175,17 @@ def _quadrature_window(
     """
 
     @functools.cache
-    def value(span: float, decay: float, log_tol: float) -> float:
-        log_tol -= math.log1p(decay)
+    def value(decay: float, log_tol: float) -> float:
+        span, log_tol = t - problem.a, log_tol - math.log1p(decay)
         if decay <= _CLIP_LENGTHS:
             return _window(problem, t, span, decay, log_tol)
         share = _CLIP_LENGTHS / decay
         return share * _window(problem, t, share * span, _CLIP_LENGTHS, log_tol - math.log(share))
 
-    def window(span: float, decay: float) -> float:
+    def window(decay: float) -> float:
         if isinstance(decay, np.ndarray):
-            return np.vectorize(value, otypes=[float])(span, decay, log_tol)
-        return value(span, decay, log_tol)
+            return np.frompyfunc(value, 2, 1)(decay, log_tol).astype(float)
+        return value(decay, log_tol)
 
     return window
 
@@ -195,40 +197,45 @@ def _finite(value: float, t: float) -> float:
     return float(value)
 
 
-def _phi(problem: DerivativeProblem, w: np.ndarray, t: float,
+def _phi(problem: DerivativeProblem, w: np.ndarray, times: list[float],
          log_tol: Callable[[], float | np.ndarray]) -> np.ndarray:
-    """phi(w, t) = c e^{w q} (t - a) V(t - a, (t - a) e^w) at every w of an array.
+    """phi(w, t) = c e^{w q} S V_S(S e^w), S = t - a, a row per time and a column per w.
 
-    V is the declared window, taken in one call for all decays up to 2^60,
-    else a ``_quadrature_window`` over them, each phi to e^{log_tol()} (a
-    float, or one target per w), formed only on that route.  Past decay 2^60
-    phi is its boundary-layer limit c d_upper(t) e^{-(1 - q) w}, so no
-    quadrature is thrown away.  The magnitude is formed in logs, +-inf where it
-    leaves double range, and w = +-inf keep their limit 0.  A V or d_upper(t)
-    that is not finite raises ``OracleError``.
+    V is the declared window, bound once to the column of spans and called
+    once for all decays up to 2^60, else a ``_quadrature_window`` per time,
+    each phi to e^{log_tol()} (a float, or one target per w), formed only on
+    that route.  Past decay 2^60 phi is its boundary-layer limit c d_upper(t)
+    e^{-(1 - q) w}, so no quadrature is thrown away.  The magnitude is formed
+    in logs, +-inf past double range; w = +-inf and t = a give 0.  A V or
+    d_upper(t) that is not finite raises ``OracleError`` naming its earliest t.
     """
-    a = problem.a
-    if t <= a:
-        return np.zeros_like(w)
-    span = t - a
-    q = problem.fractional_part
-    log_c, log_decay = math.log(abs(problem.prefactor)), w + math.log(span)
+    a, q = problem.a, problem.fractional_part
+    phi, live = np.zeros((len(times), len(w))), np.array(times) > a
+    times = [t for t in times if t > a]
+    if not times:
+        return phi
+    spans = np.array(times)[:, None] - a
+    log_spans = np.array([math.log(t - a) for t in times])[:, None]
+    log_c, log_decay = math.log(abs(problem.prefactor)), w + log_spans
     past = log_decay > _LOG_LIMIT_DECAY
     decay = np.exp(np.minimum(log_decay, _LOG_LIMIT_DECAY))
-    log_scale = np.where(past, log_c - (1.0 - q) * w, log_c + q * w + math.log(span))
+    log_scale = np.where(past, log_c - (1.0 - q) * w, log_c + q * w + log_spans)
     if problem.window is not None:
-        raw = problem.window(span, decay)
+        raw = problem.window(spans)(decay)
     else:
-        near, raw = ~past, np.zeros_like(w)
-        targets = (log_tol() - log_scale + np.log1p(decay))[near]  # V's targets, per w
-        raw[near] = _quadrature_window(problem, t, targets)(span, decay[near])
+        raw = np.zeros_like(decay)
+        targets = log_tol() - log_scale + np.log1p(decay)  # V's targets, per w
+        for row, (t, near) in enumerate(zip(times, ~past)):  # near: decay at most 2^60
+            raw[row, near] = _quadrature_window(problem, t, targets[row, near])(decay[row, near])
     if past.any():
-        raw = np.where(past, problem.d_upper(t), raw)
-    finite = np.isfinite(raw)
-    if not finite.all():
-        _finite(raw[~finite][0], t)  # raises, naming the first such value
+        limits = [[problem.d_upper(t) if row.any() else 0.0] for t, row in zip(times, past)]
+        raw = np.where(past, limits, raw)
+    bad = ~np.isfinite(raw)
+    if bad.any():
+        _finite(raw[bad][0], times[np.nonzero(bad)[0][0]])  # raises, naming the earliest time
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; exp past range = inf
-        return np.copysign(np.exp(log_scale + np.log(np.abs(raw))), raw)
+        phi[live] = np.copysign(np.exp(log_scale + np.log(np.abs(raw))), raw)
+    return phi
 
 
 def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12) -> float:
@@ -243,53 +250,59 @@ def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12
     t = _validate_time(problem, t)
     if math.isnan(w):
         raise InvalidParameterError("w must be a number, got nan")
-    return float(_phi(problem, np.array([float(w)]), t, lambda: math.log(tol))[0])
+    return float(_phi(problem, np.array([float(w)]), [t], lambda: math.log(tol))[0, 0])
+
+
+def _combinations(problem: DerivativeProblem, rule, times: list[float], budget: float):
+    """``exact_combination`` at times in [a, a + T], a (times x K) array per ``_CHUNK``."""
+    q, npoints = problem.fractional_part, len(rule.nodes)
+    w = np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q)))
+
+    def node_log_tols() -> np.ndarray:
+        split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
+        return np.tile(split - (rule.log_weights + rule.nodes), 2)
+
+    for start in range(0, len(times), _CHUNK):
+        phi = _phi(problem, w, times[start:start + _CHUNK], node_log_tols)
+        yield phi[:, :npoints] / q + phi[:, npoints:] / (1.0 - q)
 
 
 def exact_combination(problem: DerivativeProblem, rule, t: float, budget: float) -> np.ndarray:
     """Per-node reference values of e^{-x_k} times the folded integrand at x_k.
 
     ``rule`` supplies ``nodes`` x_k and ``log_weights`` ln a_k, and all 2K
-    values of phi come from one ``_phi`` call.  The weighted sum over all
-    nodes, with weights a_k e^{x_k}, stays within ``budget``, which must lie
-    in [TOL_MIN, TOL_MAX]: on the quadrature route, node targets split it.
+    values of phi come from one ``_phi`` call, as in a walk's ``_combinations``.
+    The weighted sum over all nodes, with weights a_k e^{x_k}, stays within
+    ``budget``, which must lie in [TOL_MIN, TOL_MAX]: on the quadrature
+    route, node targets split it.
     """
     budget = _validate_tol(budget)
     t = _validate_time(problem, t)
-    q = problem.fractional_part
-    npoints = len(rule.nodes)
-
-    def node_log_tols() -> np.ndarray:
-        split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
-        return np.tile(split - (rule.log_weights + rule.nodes), 2)
-
-    phi = _phi(problem, np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q))), t,
-               node_log_tols)
-    return phi[:npoints] / q + phi[npoints:] / (1.0 - q)
+    return next(_combinations(problem, rule, [t], budget))[0]
 
 
 def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-10) -> float:
     """High-accuracy derivative value via the diffusive integral itself.
 
     The derivative is int phi(w, t) dw over the whole w line, with
-    phi(w, t) = c e^{q w} s V(s, s e^w) as in ``_phi``.  In the logistic
+    phi(w, t) = c e^{q w} s V_s(s e^w) as in ``_phi``.  In the logistic
     variable x, e^w = x / ((1 - x) s) with s = t - a, so that
     dw = dx / (x (1 - x)) and x = 1/2 is e^w = 1/s:
 
-        c s^{-q} int_0^1 x^{q-1} (1 - x)^{-q} F(x) dx,  F(x) = s V(s, d) / (1 - x),
+        c s^{-q} int_0^1 x^{q-1} (1 - x)^{-q} F(x) dx,  F(x) = s V_s(d) / (1 - x),
 
-    with decay d = x / (1 - x) on every span.  F is smooth on [0, 1] and
-    finite at both ends (F(0) = s V(s, 0) is the integral of d_upper,
-    F(1) = s d_upper(t)), so this is one QAWS integral (``weight="alg"``)
-    with no cut of the w range.  (1 - x) F(0) is taken out in closed form,
-    c int x^{q-1} (1 - x)^{1-q} dx = 1 - q, so the exponent q - 1, which
-    QAWS rounds as (q - 1) + 1, weights a function that vanishes at 0; both
-    terms use the same F(0), so its error cancels to first order.  The outer
-    integral takes a quarter of tol and the F values the rest:
-    c int x^{q-1} (1 - x)^{-q} dx = 1, so an F error delta moves the value
-    by delta s^{-q}; F = s (1 + d) V, so a ``_quadrature_window`` takes V to
-    0.75 tol s^q / s.  The returned value carries an estimated error of at
-    most about tol.
+    with decay d = x / (1 - x) on every span, and V_s bound to s once per
+    call.  F is smooth on [0, 1] and finite at both ends (F(0) = s V_s(0) is
+    the integral of d_upper, F(1) = s d_upper(t)), so this is one QAWS
+    integral (``weight="alg"``) with no cut of the w range.  (1 - x) F(0) is
+    taken out in closed form, c int x^{q-1} (1 - x)^{1-q} dx = 1 - q, so the
+    exponent q - 1, which QAWS rounds as (q - 1) + 1, weights a function that
+    vanishes at 0; both terms use the same F(0), so its error cancels to
+    first order.  The outer integral takes a quarter of tol and the F values
+    the rest: c int x^{q-1} (1 - x)^{-q} dx = 1, so an F error delta moves
+    the value by delta s^{-q}; F = s (1 + d) V_s, so a ``_quadrature_window``
+    takes V_s to 0.75 tol s^q / s.  The returned value carries an estimated
+    error of at most about tol.
     """
     tol = _validate_tol(tol)
     t = _validate_time(problem, t)
@@ -298,15 +311,15 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     q, c = problem.fractional_part, problem.prefactor
     s = t - problem.a
     log_scaled = math.log(tol) + q * math.log(s)  # ln(tol s^q)
-    window = problem.window or _quadrature_window(
-        problem, t, log_scaled + math.log(0.75) - math.log(s))
+    window = (problem.window(s) if problem.window is not None
+              else _quadrature_window(problem, t, log_scaled + math.log(0.75) - math.log(s)))
     # at x = 1 the boundary-layer limit (1 + d) V -> d_upper(t)
-    f0, f1 = s * _finite(window(s, 0.0), t), s * _finite(problem.d_upper(t), t)
+    f0, f1 = s * _finite(window(0.0), t), s * _finite(problem.d_upper(t), t)
 
     def integrand(x: float) -> float:
         if x == 1.0:
             return f1
-        return s / (1.0 - x) * _finite(window(s, x / (1.0 - x)), t) - (1.0 - x) * f0
+        return s / (1.0 - x) * _finite(window(x / (1.0 - x)), t) - (1.0 - x) * f0
 
     rest = _adaptive_integral(integrand, 0.0, 1.0,
                               _bounded_exp(log_scaled - math.log(4.0 * c)),
@@ -363,7 +376,7 @@ class TestFunction:
     d_upper_sup: float | None = None
     d_upper_plus_sup: float | None = None
     singular_part: tuple[float, Callable[[float], float]] | None = None
-    window: Callable[[float, float], float] | None = None
+    window: Callable[[float], Callable[[float], float]] | None = None
 
 
 _POWER_EXPONENTS = {"pow1": 1.0, "pow2": 2.0, "pow3": 3.0, "pow2.5": 2.5}
@@ -410,51 +423,61 @@ def _unit_series(z):
     return total
 
 
-def _unit_integral(z):
-    """int_0^1 e^{-z v} dv = (1 - e^{-z}) / z for Re z >= 0, elementwise for a
-    complex array, each part to a few ulp of the magnitude: its Taylor series
-    where |z| <= 1/2, else 1 - e^{-z} formed with expm1 and 1 - cos(Im z) =
-    2 sin^2(Im z / 2)."""
-    if not isinstance(z, np.ndarray):
-        if abs(z) <= 0.5:
-            return _unit_series(z)
-        lam, s = z.real, z.imag
-        return complex(2.0 * math.sin(0.5 * s) ** 2 - math.expm1(-lam) * math.cos(s),
-                       math.exp(-lam) * math.sin(s)) / z
-    near = np.abs(z) <= 0.5
-    lam, s = z.real, z.imag
-    with np.errstate(all="ignore"):  # the entries near 0 are replaced below
-        out = (2.0 * np.sin(0.5 * s) ** 2 - np.expm1(-lam) * np.cos(s)
-               + 1j * (np.exp(-lam) * np.sin(s))) / z
-    out[near] = _unit_series(z[near])
-    return out
+def _sin_window(m: int) -> Callable[[float], Callable[[float], float]]:
+    """The unit window of sin(t - a + m pi / 2) = Im i^m e^{i(t - a)}: bound to S,
+    V_S(decay) = Im i^m e^{iS} J(decay + iS), J(z) = int_0^1 e^{-z v} dv, each
+    part of J to a few ulp of the magnitude: its Taylor series where |z| <= 1/2,
+    else (1 - e^{-z}) / z formed with expm1 and 1 - cos S = 2 sin^2(S / 2)."""
+
+    def window(span: float, _turn: complex = 1j**m) -> Callable[[float], float]:
+        lib = np if isinstance(span, np.ndarray) else math
+        versine, cos, sin = 2.0 * lib.sin(0.5 * span) ** 2, lib.cos(span), lib.sin(span)
+        turned = _turn * (cos + 1j * sin)
+
+        def at(decay: float) -> float:
+            z = decay + 1j * span
+            if not isinstance(z, np.ndarray):
+                if abs(z) <= 0.5:
+                    return (turned * _unit_series(z)).imag
+                return (turned * (complex(versine - math.expm1(-decay) * cos,
+                                          math.exp(-decay) * sin) / z)).imag
+            near = np.abs(z) <= 0.5
+            with np.errstate(all="ignore"):  # the entries near 0 are replaced below
+                out = (versine - np.expm1(-decay) * cos + 1j * (np.exp(-decay) * sin)) / z
+            if near.any():
+                out[near] = _unit_series(z[near])
+            return (turned * out).imag
+
+        return at
+
+    return window
 
 
-def _power_window(p: float, m: int) -> Callable[[float, float], float]:
+def _power_window(p: float, m: int) -> Callable[[float], Callable[[float], float]]:
     """The unit window of the m-th derivative of (t - a)^p, for integer p or p > m - 1.
 
     That derivative is C u^e at u = tau - a, e = p - m, and int_0^1 (1 - v)^e
     e^{-decay v} dv is M(1, e + 2, -decay) / (e + 1), Kummer's function
-    (DLMF 13.4.1), so the window is C S^e M(1, e + 2, -decay) / (e + 1); it
-    is 0 for integer p below m and inf where S^e overflows.  Scalar decays
-    share a bounded memo of M: the outer QAWS integral of
-    ``reference_quadrature`` samples the same decays at every time.
+    (DLMF 13.4.1), so the window bound to S is C S^e / (e + 1) times
+    M(1, e + 2, -decay); it is 0 for integer p below m and inf where S^e
+    overflows.  Scalar decays share a bounded memo of M: the outer QAWS
+    integral of ``reference_quadrature`` samples the same decays at every time.
     """
     if p == int(p) and m > p:
-        return lambda span, decay: 0.0 * decay  # 0, or zeros shaped like decay
+        return lambda span: lambda decay: 0.0 * span * decay  # 0, or zeros shaped like both
     expo = p - m
     coeff = math.gamma(p + 1.0) / math.gamma(expo + 2.0)  # C / (e + 1)
     kummer = functools.lru_cache(maxsize=1024)(
         lambda decay: float(special.hyp1f1(1.0, expo + 2.0, -decay)))
 
-    def window(span: float, decay: float) -> float:
-        try:
-            scale = coeff * span**expo
-        except OverflowError:
-            scale = math.inf  # M(1, e + 2, -decay) > 0
-        if isinstance(decay, np.ndarray):
-            return scale * special.hyp1f1(1.0, expo + 2.0, -decay)
-        return scale * kummer(decay)
+    def window(span: float) -> Callable[[float], float]:
+        with np.errstate(over="ignore"):  # an array of spans past double range
+            try:
+                scale = coeff * span**expo
+            except OverflowError:  # a float span past it
+                scale = math.inf  # M(1, e + 2, -decay) > 0
+        return lambda decay: scale * (special.hyp1f1(1.0, expo + 2.0, -decay)
+                                      if isinstance(decay, np.ndarray) else kummer(decay))
 
     return window
 
@@ -495,15 +518,19 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
             except OverflowError:
                 return math.inf
 
-        def window(span: float, decay: float) -> float:
+        def window(span: float) -> Callable[[float], float]:
             # e^S int_0^1 e^{-z v} dv = e^S (1 - e^{-z}) / z, real z = decay + S > 0
-            try:
-                scale = math.exp(span)
-            except OverflowError:
-                scale = math.inf
-            z = decay + span
-            expm1 = np.expm1 if isinstance(decay, np.ndarray) else math.expm1
-            return scale * (-expm1(-z) / z)
+            with np.errstate(over="ignore"):  # an array of spans past double range
+                try:
+                    scale = (np.exp if isinstance(span, np.ndarray) else math.exp)(span)
+                except OverflowError:  # a float span past it
+                    scale = math.inf
+
+            def at(decay: float) -> float:
+                z = decay + span
+                return scale * (-(np.expm1 if isinstance(z, np.ndarray) else math.expm1)(-z) / z)
+
+            return at
 
         sup = fn(T, 0.0)  # e^T, inf where that overflows
         return TestFunction(
@@ -521,17 +548,12 @@ def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> 
         def shifted(order: int) -> Callable[[float], float]:
             return lambda t, _s=order * half_pi, _a=a: math.sin(t - _a + _s)
 
-        def window(span: float, decay: float, _turn: complex = 1j**m) -> float:
-            # sin(x + m pi / 2) = Im i^m e^{ix}, so V = Im i^m e^{iS} J(decay + iS)
-            turned = _turn * complex(math.cos(span), math.sin(span))
-            return (turned * _unit_integral(decay + 1j * span)).imag
-
         return TestFunction(
             name=name,
             d_upper=shifted(m),
             d_upper_plus=shifted(m + 1),
             exact_caputo=None,
-            window=window,
+            window=_sin_window(m),
         )
     raise InvalidParameterError(f"unknown corpus function {name!r}; known: {corpus_names()}")
 

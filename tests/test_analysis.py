@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -31,8 +32,10 @@ from diffcap import (
     uniform_grid,
     verify_ode_error_bound,
 )
+from diffcap import analysis, oracle
 from diffcap.analysis import LogScaledValue, ode_error_profile
 from diffcap.quadrature import MAX_NODES
+from diffcap.steppers import quadrature_coefficients
 
 
 def test_decomposition_vanishes_at_start():
@@ -78,6 +81,34 @@ def test_decomposition_identity_across_corpus(name):
     )
     for row in rows:
         assert abs(row.r_total - (row.r_q + row.r_ode)) <= 10.0 * truth_tol
+
+
+@pytest.mark.parametrize("name, alpha, n_steps, declared", [
+    ("sin", 0.7, 150, True), ("pow2.5", 2.3, 130, True), ("exp", 1.4, 64, True),
+    ("exp", 1.4, 5, False), ("sin", 0.3, 4, False)])
+def test_the_walk_folds_what_a_loop_of_exact_combination_folds(name, alpha, n_steps, declared):
+    # the walk takes its times in chunks of at most 64, each chunk in one window
+    # call (undeclared data loops over its times within it) and one product;
+    # node for node it reads what a loop of exact_combination reads, bit for
+    # bit on undeclared data, and its sums differ from the loop's dot products
+    # only by the rounding of a differently ordered sum
+    problem = make_problem(name, alpha, a=-0.4, T=2.0)
+    if not declared:
+        problem = dataclasses.replace(problem, window=None)
+    rule = gauss_laguerre_rule(10)
+    times, _, sums = analysis._walk(problem, rule, uniform_grid(-0.4, 2.0, n_steps),
+                                    BACKWARD_EULER, 1e-9)
+    chunks = list(oracle._combinations(problem, rule, times, 1e-9))
+    assert [len(chunk) for chunk in chunks] == [min(64, n_steps + 1 - start)
+                                               for start in range(0, n_steps + 1, 64)]
+    coefficients = quadrature_coefficients(rule)
+    for t, total, row in zip(times, sums, np.concatenate(chunks)):
+        loop = exact_combination(problem, rule, t, 1e-9)
+        if declared:
+            assert np.all(np.abs(row - loop) <= 1e-15 * np.abs(loop)), t
+        else:
+            assert row.tolist() == loop.tolist(), t
+        assert abs(total - coefficients @ loop) <= 1e-15 * (np.abs(coefficients) @ np.abs(loop))
 
 
 def test_quadrature_component_is_grid_independent():

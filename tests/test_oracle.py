@@ -278,16 +278,27 @@ class _CountingSpecial:
 
 
 class _CountingWindow:
+    """Counts binds to a span and calls of the bound V, each scalar or array."""
+
     def __init__(self, fn) -> None:
         self._fn = fn
-        self.scalar_calls = self.array_calls = 0
+        self.scalar_binds = self.array_binds = self.scalar_calls = self.array_calls = 0
 
-    def __call__(self, span, decay):
-        if isinstance(decay, np.ndarray):
-            self.array_calls += 1
+    def __call__(self, span):
+        if isinstance(span, np.ndarray):
+            self.array_binds += 1
         else:
-            self.scalar_calls += 1
-        return self._fn(span, decay)
+            self.scalar_binds += 1
+        bound = self._fn(span)
+
+        def at(decay):
+            if isinstance(decay, np.ndarray):
+                self.array_calls += 1
+            else:
+                self.scalar_calls += 1
+            return bound(decay)
+
+        return at
 
 
 class _CountingForcing:
@@ -325,13 +336,15 @@ def test_reference_quadrature_takes_one_outer_qaws_integral(name, t, max_samples
 
 @pytest.mark.parametrize("name, alpha, n_steps, npoints", [("pow2", 0.7, 8, 10),
                                                            ("pow3", 2.4, 12, 20)])
-def test_a_request_takes_kummer_once_per_outer_node_and_one_window_call_per_time(
+def test_a_request_takes_kummer_once_per_outer_node_and_one_window_call_per_walk(
         name, alpha, n_steps, npoints, monkeypatch):
     # reference_quadrature's outer QAWS integral samples the same decays
     # x / (1 - x) at every time, and the power windows keep M(1, e + 2, -decay)
     # for scalar decays, so one decompose_error request calls scalar hyp1f1 at
-    # most once per distinct outer node; exact_combination takes each time's
-    # 2K nodes in one array call.  Counts, unlike timings, repeat exactly
+    # most once per distinct outer node; each reference_quadrature call binds
+    # its window to its span once, and the walk binds all its times' spans in
+    # one array and takes their 2K nodes each in one array call.  Counts,
+    # unlike timings, repeat exactly
     special = _CountingSpecial(scipy.special)
     monkeypatch.setattr(oracle, "special", special)
     q, outer_nodes = fractional_part(alpha), set()
@@ -351,7 +364,8 @@ def test_a_request_takes_kummer_once_per_outer_node_and_one_window_call_per_time
                     uniform_grid(0.3, 2.0, n_steps), truth_tol=1e-9)
     assert special.scalar_calls <= len(outer_nodes)
     assert window.scalar_calls >= 5 * special.scalar_calls  # the memo is what saves
-    assert window.array_calls == special.array_calls == n_steps  # every time after a
+    assert window.scalar_binds == n_steps  # one per reference_quadrature after t = a
+    assert window.array_binds == window.array_calls == special.array_calls == 1
 
 
 def test_reference_quadrature_reads_the_same_with_a_warm_kummer_memo(monkeypatch):
@@ -582,7 +596,7 @@ _WINDOW_DECAYS = (0.0, 1e-300, 1e-8, 0.01, 0.3, 0.49, 0.51, 1.0, 40.0, 1e8, 2.0*
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_elementary_windows_match_their_closed_forms(m):
-    # V(S, decay) = int_0^1 d_upper(a + S (1 - v)) e^{-decay v} dv for
+    # V_S(decay) = int_0^1 d_upper(a + S (1 - v)) e^{-decay v} dv for
     # d_upper = sin(tau - a + m pi / 2) and e^{tau - a}, on both sides of sin's
     # Taylor branch at |decay + iS| = 1/2, at subnormal and long spans, one
     # decay at a time and all decays of a span in one array call; where
@@ -595,16 +609,16 @@ def test_elementary_windows_match_their_closed_forms(m):
             # sin(S + m pi / 2) and cos(S + m pi / 2), with the quarter turns exact
             sin_b = st * mpmath.cos(span) + ct * mpmath.sin(span)
             cos_b = ct * mpmath.cos(span) - st * mpmath.sin(span)
-            sin_values = sin_window(float(span), np.array(_WINDOW_DECAYS))
-            exp_values = exp_window(float(span), np.array(_WINDOW_DECAYS))
+            sin_values = sin_window(float(span))(np.array(_WINDOW_DECAYS))
+            exp_values = exp_window(float(span))(np.array(_WINDOW_DECAYS))
             for k, decay in enumerate(map(mpmath.mpf, _WINDOW_DECAYS)):
                 exact = (decay * sin_b - span * cos_b
                          - mpmath.exp(-decay) * (decay * st - span * ct)) / (decay**2 + span**2)
-                for value in (sin_window(float(span), float(decay)), sin_values[k]):
+                for value in (sin_window(float(span))(float(decay)), sin_values[k]):
                     assert abs(value - exact) <= 1e-14 * abs(exact) + 5e-324, (span, decay, value)
                 if span < 700:
                     exact = mpmath.exp(span) * -mpmath.expm1(-(span + decay)) / (span + decay)
-                    for value in (exp_window(float(span), float(decay)), exp_values[k]):
+                    for value in (exp_window(float(span))(float(decay)), exp_values[k]):
                         assert abs(value - exact) <= 1e-14 * abs(exact) + 5e-324, (span, decay)
 
 
@@ -618,12 +632,65 @@ def test_corpus_windows_take_arrays_of_decays(name, m):
         return
     decays = np.array(_WINDOW_DECAYS)
     for span in _WINDOW_SPANS:
-        values = window(span, decays)
+        values = window(span)(decays)
         assert isinstance(values, np.ndarray) and values.shape == decays.shape, span
         for decay, value in zip(_WINDOW_DECAYS, values):
-            scalar = window(span, decay)
+            scalar = window(span)(decay)
             assert value == scalar or abs(value - scalar) <= 1e-15 * abs(scalar) + 5e-324, (
                 span, decay, value, scalar)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_windows_bind_a_column_of_spans(name, m):
+    # one bind to a column of spans against a row of decays reads each
+    # (span, decay)'s scalar value within 1e-15 relative, and +-inf exactly
+    # where the scalar does (e^S or S^e past double range)
+    window = corpus_function(name, m - 0.5).window
+    if window is None:  # pow2.5 above order 3: not integrable at a
+        return
+    values = window(np.array(_WINDOW_SPANS)[:, None])(np.array(_WINDOW_DECAYS))
+    assert values.shape == (len(_WINDOW_SPANS), len(_WINDOW_DECAYS))
+    for span, row in zip(_WINDOW_SPANS, values.tolist()):
+        for decay, value in zip(_WINDOW_DECAYS, row):
+            scalar = window(span)(decay)
+            if math.isinf(scalar):
+                assert value == scalar, (span, decay, value)
+            else:
+                assert abs(value - scalar) <= 1e-15 * abs(scalar) + 5e-324, (
+                    span, decay, value, scalar)
+
+
+def test_the_sin_window_runs_its_series_only_where_a_decay_is_near_zero(monkeypatch):
+    # at span 1 every |decay + i| >= 1, so the series has nothing to replace;
+    # at span 0.3 one decay of three lies within 1/2 of 0 and takes it
+    calls = []
+    series = oracle._unit_series
+    monkeypatch.setattr(oracle, "_unit_series", lambda z: calls.append(np.shape(z)) or series(z))
+    decays = np.linspace(0.0, 40.0, 40)
+    window = corpus_function("sin", 0.5).window
+    far = window(1.0)(decays)
+    assert calls == []
+    scalars = np.array([window(1.0)(d) for d in decays.tolist()])
+    assert np.all(np.abs(far - scalars) <= 1e-15 * np.abs(scalars))
+    near = window(0.3)(np.array([0.1, 1.0, 40.0]))
+    assert calls == [(1,)]
+    assert abs(near[0] - window(0.3)(0.1)) <= 1e-15 * abs(near[0])
+    assert calls == [(1,), ()]  # and a scalar decay near 0, from its own branch
+
+
+def test_a_window_that_is_nan_at_interior_times_raises_naming_the_earliest():
+    # the walk binds every time's span at once; a value that is not finite
+    # names the earliest time it appears at, as a loop over the times would
+    base = make_problem("pow2", 0.5)
+
+    def window(span):
+        bound = base.window(span)
+        return lambda decay: np.where((span == 0.5) | (span == 0.75), math.nan, bound(decay))
+
+    problem = dataclasses.replace(base, window=window)
+    with pytest.raises(OracleError, match=r"at t = 0\.5 is nan"):
+        decompose_error(problem, gauss_laguerre_rule(8), uniform_grid(0.0, 1.0, 4))
 
 
 @pytest.mark.parametrize("npoints", [8, 64, 256])
@@ -880,7 +947,7 @@ def test_every_corpus_entry_declares_a_window_where_its_data_is_integrable():
         for alpha in (0.5, 1.3, 2.7, 3.5):
             declared = make_problem(name, alpha).window is not None
             assert declared == (name != "pow2.5" or alpha < 3.0), (name, alpha)
-    assert make_problem("pow2", 2.5).window(1.0, 3.0) == 0.0
+    assert make_problem("pow2", 2.5).window(1.0)(3.0) == 0.0
 
 
 def test_powers_declare_a_singular_part_where_their_data_is_a_power():
