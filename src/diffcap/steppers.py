@@ -26,11 +26,12 @@ A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i, so y_{n+j} = weights . phi_{n+j} is
 one (m x 2K) table times phi_n plus a lower-triangular Toeplitz kernel times
 the m sums, and phi_{n+m} is A^m phi_n plus one more (m x 2K) product (the
 sum-of-exponentials blocks of Lubich & Schaedle, SIAM J. Sci. Comput. 24(1),
-2002).  A pass lays up to eight blocks' sums out as rows, one product each.
+2002).  A pass lays up to sixteen blocks' sums out as rows, one product each.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator
 
@@ -125,8 +126,10 @@ def _coefficients(exponentials, method: str, steps):
 
 #: steps of one pass of the phi stream, whose tables have 2K columns
 _CHUNK = 16
-#: steps of one pass of the folded stream, a table or a block pass
+#: steps of one table pass of the folded stream, and of one block of a block pass
 _BLOCK = 32
+#: blocks of one block pass, which share its fixed costs; more outgrow the heap bound
+_PASS_BLOCKS = 16
 #: largest |step - T/N| / (T/N) of a grid that block passes step as uniform
 _UNIFORM_SPREAD = 3e-11
 
@@ -164,7 +167,7 @@ def _check_grid(problem: DerivativeProblem, grid: TimeGrid) -> None:
         )
 
 
-def _sample_forcing(d_upper, times: list) -> np.ndarray:
+def _sample_forcing(d_upper, times) -> np.ndarray:
     """d_upper at ``times``, called once each in order: one float64 array if all are finite
     bools, integers or floats of at most 8 bytes (each then converts as float(+v) does),
     else each value is checked as float(+v) (+ rejects text) up to the first bad time."""
@@ -201,17 +204,18 @@ def iter_solution(
     *,
     folded: bool = False,
 ) -> Iterator[np.ndarray | float]:
-    """Yield the 2K phi values (W_minus block, then W_plus) at every grid index.
+    """An iterator over the 2K phi values (W_minus block, then W_plus) at every grid index.
 
     The first array is the read-only zero state.  To run on the first K*
-    nodes only, pass ``truncate_rule(rule, K*)``.  d_upper is called once per
-    grid time after a, in order, each pass's times before that pass yields
-    (a bad value lets the rest of its pass be called before it is named);
-    the first step is backward Euler whatever the method (a Rannacher
+    nodes only, pass ``truncate_rule(rule, K*)``.  Nothing runs or is checked
+    before the first ``next``.  d_upper is called once per grid time after a,
+    in order, with a Python float, each pass's times before that pass yields
+    (a bad value lets the rest of its pass, up to 511 calls, run before it is
+    named); the first step is backward Euler whatever the method (a Rannacher
     start), so no method reads d_upper(a) or keeps a start-up error.
 
-    With ``folded=True`` it yields the float derivative values instead, the
-    first one included: each phi folded with the system's weights.  That
+    With ``folded=True`` it yields the Python float derivative values instead,
+    the first one included: each phi folded with the system's weights.  That
     stream steps only the modes that move over this grid: the frozen slow and
     stiff modes ride in one summed column each (see _collapse), so its values
     match the fold of each phi to rounding.
@@ -219,14 +223,20 @@ def iter_solution(
     After the first step, which goes alone, the grid is walked in passes of
     _BLOCK = 32 steps on the folded stream and _CHUNK = 16 on the phi stream.
     A folded stream whose grid steps all lie within a relative 3e-11 of T/N
-    takes block passes of up to eight such blocks, a few matrix products each
-    with closed-form tables built once per call; every other pass is a table
-    pass (see _table_pass).  So at most one pass's forcing, values and tables
-    are alive at a time, and a sweep costs O(N K) time and O(K) memory at any
-    grid length.  A phi or value that is not finite raises EvaluationError
-    naming its grid time, a trapezoidal half step that rounds to 0
-    InvalidParameterError up front.
+    takes block passes of up to _PASS_BLOCKS = 16 such blocks, a few matrix
+    products each with closed-form tables built once per call; every other
+    pass is a table pass (see _table_pass).  So at most one pass's forcing,
+    values and tables are alive at a time, and a sweep costs O(N K) time and
+    O(K) memory at any grid length.  The passes are chained in C, so Python
+    runs only between them.  A phi or value that is not finite raises
+    EvaluationError naming its grid time before its pass yields anything, a
+    trapezoidal half step that rounds to 0 InvalidParameterError at once.
     """
+    return itertools.chain.from_iterable(_passes(problem, rule, grid, method, folded))
+
+
+def _passes(problem, rule, grid, method: str, folded: bool):
+    """iter_solution's values, one iterable per pass: phi rows or a memoryview of floats."""
     _check_method(method)
     _check_grid(problem, grid)
     system = build_system(problem, rule)
@@ -242,21 +252,22 @@ def iter_solution(
     c, d_upper = system.c, problem.d_upper
     phi = np.zeros(len(exponentials[0]))
     phi.setflags(write=False)
-    yield phi if weights is None else weights.dot(phi)
+    yield (phi if weights is None else float(weights.dot(phi)),)
     with np.errstate(over="ignore", invalid="ignore"):  # the coefficients may overflow
         tables = None if nominal is None or last < 2 else _block_tables(
             exponentials, c, method, nominal, weights, min(_BLOCK, last - 1))
     step_method, g_prev, lo = BACKWARD_EULER, 0.0, 0
     while lo < last:
-        # a block pass takes up to eight blocks, which share its errstate, products and checks
-        size = 1 if lo == 0 else _CHUNK if weights is None else _BLOCK if tables is None else 8 * _BLOCK
+        size = (1 if lo == 0 else _CHUNK if weights is None else _BLOCK if tables is None
+                else _PASS_BLOCKS * _BLOCK)
         hi = min(lo + size, last)
-        times = points[lo + 1 : hi + 1].tolist()
+        times = memoryview(points)[lo + 1 : hi + 1]
         g = _sample_forcing(d_upper, times)
-        f = g + np.concatenate(([g_prev], g[:-1])) if step_method == TRAPEZOIDAL else g
-        g_prev = g[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if lo == 0 or tables is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum of two finite g may overflow
+            f = g + np.concatenate(([g_prev], g[:-1])) if step_method == TRAPEZOIDAL else g
+            g_prev = g[-1]
+            # a block pass would spread an overflowed sum's inf as 0 * inf = nan over its block
+            if lo == 0 or tables is None or not np.isfinite(f).all():
                 values, phi = _table_pass(phi, exponentials, c, step_method, steps[lo:hi], f, weights)
             else:  # sums as block rows, zero-padded at the grid's end; phi moves on if a pass follows
                 fold, kernel, carry, decay = tables
@@ -270,7 +281,7 @@ def iter_solution(
         if not np.isfinite(values).all():
             bad = next(t for t, v in zip(times, values) if not np.isfinite(v).all())
             raise EvaluationError(f"the solution is not finite at t = {bad}")
-        yield from values if weights is None else values.tolist()
+        yield values if weights is None else memoryview(values)
         step_method, lo = method, hi
 
 

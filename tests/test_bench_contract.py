@@ -47,7 +47,9 @@ def test_tracer_installs_on_every_layer_and_uninstalls_cleanly():
 def test_traced_run_counts_one_forcing_call_per_step():
     # the stepper must still run through iter_solution and call d_upper once
     # per step, or the tracer's stepping and forcing numbers stop meaning much;
-    # a uniform grid of several blocks and a partial one, and a graded grid
+    # a uniform grid of several blocks and a partial one, one of two block
+    # passes and a partial one (one counted resumption per value across the
+    # passes the stream chains), and a graded grid
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer, diffcap)
@@ -56,6 +58,7 @@ def test_traced_run_counts_one_forcing_call_per_step():
     grids = {
         "uniform": diffcap.uniform_grid(0.0, 1.0, 16),
         "blocks": diffcap.uniform_grid(0.0, 1.0, 2 * block + 5),
+        "passes": diffcap.uniform_grid(0.0, 1.0, 2 * diffcap.steppers._PASS_BLOCKS * block + 5),
         "graded": diffcap.graded_grid(0.0, 1.0, 2 * block + 5),
     }
     runs = [(method, label) for method in diffcap.METHODS for label in grids]

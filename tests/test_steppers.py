@@ -35,7 +35,16 @@ from diffcap import (
 )
 from diffcap import steppers
 from diffcap.oracle import corpus_names
-from diffcap.steppers import _BLOCK, _CHUNK, quadrature_coefficients, state_combination
+from diffcap.steppers import (
+    _BLOCK,
+    _CHUNK,
+    _PASS_BLOCKS,
+    quadrature_coefficients,
+    state_combination,
+)
+
+#: steps of one block pass
+_PASS = _PASS_BLOCKS * _BLOCK
 
 
 def _single_node_system(alpha: float, w: float) -> DiffusiveSystem:
@@ -382,7 +391,7 @@ def test_forcing_arithmetic_errors_report_offending_time(d_upper, T, bad_t, caus
     assert isinstance(info.value.__cause__, cause)
 
 
-# the times of a 300-step grid: index 200 lies in its first block pass, 2..257
+# the times of a 300-step grid: index 200 lies in its first block pass, 2..513
 _P300 = uniform_grid(0.0, 1.0, 300).points.tolist()
 
 
@@ -468,6 +477,65 @@ def test_trapezoidal_half_step_that_rounds_to_zero_raises_before_any_yield(folde
         evaluate_derivative(problem, rule, grid, method=TRAPEZOIDAL)
     assert calls == []
     assert evaluate_derivative(problem, rule, grid).shape == (3,)
+
+
+def test_the_stream_does_no_work_before_its_first_next():
+    # building the iterator calls no d_upper and raises nothing; the first
+    # next() makes every check, still before any call
+    calls = []
+    problem = DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: calls.append(t) or 1.0)
+    tiny = DerivativeProblem(alpha=0.5, a=0.0, T=1e-323, d_upper=problem.d_upper)
+    rule = gauss_laguerre_rule(6)
+    bad = [
+        (problem, uniform_grid(0.0, 1.0, 4), "rk4", r"^unknown method 'rk4'"),
+        (problem, uniform_grid(0.0, 2.0, 4), BACKWARD_EULER, r"do not match the problem interval"),
+        (tiny, TimeGrid([0.0, 5e-324, 1e-323]), TRAPEZOIDAL, r"^step size must be positive"),
+    ]
+    for folded in (False, True):
+        for case, grid, method, message in bad:
+            stream = iter_solution(case, rule, grid, method=method, folded=folded)
+            with pytest.raises(InvalidParameterError, match=message):
+                next(stream)
+        stream = iter_solution(problem, rule, uniform_grid(0.0, 1.0, 4), folded=folded)
+        assert calls == []
+        assert not np.any(next(stream))  # the zero state at a calls nothing either
+        assert calls == []
+        next(stream)
+        assert calls == [0.25]
+        calls.clear()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_value_that_is_not_finite_in_the_second_block_pass_raises_after_the_first(method):
+    # the first step goes alone, then block passes of _PASS steps; a forcing of
+    # 1e308 from grid index _PASS + 10 on (in the second pass) takes the
+    # values over the largest double there.  Every value of the first pass is
+    # yielded, then the second pass calls all its times and raises before it
+    # yields any value.
+    grid = uniform_grid(0.0, 1e10, 2 * _PASS + 5)
+    bad = float(grid.points[_PASS + 10])
+    calls = []
+    problem = DerivativeProblem(
+        alpha=0.5, a=0.0, T=1e10, d_upper=lambda t: calls.append(t) or (1e308 if t >= bad else 1.0)
+    )
+    stream = iter_solution(problem, gauss_laguerre_rule(6), grid, method=method, folded=True)
+    head = list(itertools.islice(stream, _PASS + 2))  # t = a, the lone first step, one pass
+    assert len(head) == _PASS + 2 and np.isfinite(head).all()
+    assert len(calls) == _PASS + 1
+    with pytest.raises(EvaluationError, match=re.escape(f"the solution is not finite at t = {bad}")):
+        next(stream)
+    assert calls == grid.points[1 : 2 * _PASS + 2].tolist()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("graded", [False, True])
+def test_folded_stream_yields_python_floats(graded, method):
+    # the zero at t = a too; a uniform grid takes block passes, a graded one table passes
+    rule, n_steps = gauss_laguerre_rule(6), _PASS + 5
+    grid = graded_grid(0.0, 1.0, n_steps, 2.0) if graded else uniform_grid(0.0, 1.0, n_steps)
+    values = list(iter_solution(make_problem("sin", 0.5), rule, grid, method=method, folded=True))
+    assert len(values) == n_steps + 1
+    assert all(type(v) is float for v in values)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -654,8 +722,8 @@ def _per_step_fold(problem, rule, grid, method):
 @pytest.mark.parametrize("alpha", [0.4, 1.5, 2.6])
 @pytest.mark.parametrize("name", corpus_names())
 def test_block_values_match_the_per_step_fold(name, alpha, method):
-    # uniform grids take block passes of eight blocks after the first step;
-    # partial and single blocks, one block and one step over, a pass that
+    # uniform grids take block passes of _PASS_BLOCKS blocks after the first
+    # step; partial and single blocks, one block and one step over, a pass that
     # ends mid-block after full ones, exactly one pass and one step over,
     # exactly two passes, two and a partial, and a long run
     for a, T in ((0.0, 1.0), (-3.7, 2.3), (0.5, 40.0)):
@@ -663,7 +731,7 @@ def test_block_values_match_the_per_step_fold(name, alpha, method):
         for k in (1, 6, 64):
             rule = gauss_laguerre_rule(k)
             for n_steps in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 6,
-                            8 * _BLOCK + 1, 8 * _BLOCK + 2, 16 * _BLOCK + 1, 16 * _BLOCK + 18, 1000):
+                            _PASS + 1, _PASS + 2, 2 * _PASS + 1, 2 * _PASS + 18, 1000):
                 grid = uniform_grid(a, T, n_steps)
                 values = evaluate_derivative(problem, rule, grid, method=method)
                 folded = _per_step_fold(problem, rule, grid, method)
