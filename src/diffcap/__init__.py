@@ -21,6 +21,7 @@ from .analysis import (
     quadrature_error,
     verify_ode_error_bound,
 )
+from .corpus import CorpusEntry, corpus_function, corpus_names, make_problem
 from .diffusive import (
     DerivativeProblem,
     DiffusiveSystem,
@@ -40,16 +41,7 @@ from .errors import (
     OracleError,
     UnsupportedOperationError,
 )
-from .oracle import (
-    TestFunction,
-    brute_force_caputo,
-    corpus_function,
-    corpus_names,
-    exact_combination,
-    exact_phi,
-    make_problem,
-    reference_quadrature,
-)
+from .oracle import brute_force_caputo, exact_combination, exact_phi, reference_quadrature
 from .quadrature import MAX_NODES, QuadratureRule, gauss_laguerre_rule, truncate_rule
 from .steppers import (
     BACKWARD_EULER,

@@ -19,20 +19,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .diffusive import DerivativeProblem, TimeGrid, uniform_grid
 from .diffusive import build_system  # noqa: F401 - perfbench/tracing.py rebinds this name
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InsufficientDataError, InvalidParameterError, UnsupportedOperationError
 from .oracle import (
     _combinations,
     _validate_tol,
     brute_force_caputo,
     exact_combination,
     reference_quadrature,
-    require_d_upper_plus,
 )
 from .quadrature import MAX_NODES, QuadratureRule, _check_count, gauss_laguerre_rule
 from .steppers import BACKWARD_EULER, evaluate_derivative, quadrature_coefficients
@@ -139,6 +138,15 @@ def decompose_error(
 def _sampled_sup(fn, a: float, T: float) -> float:
     ts = np.linspace(a, a + T, _NORM_SAMPLES)
     return float(np.max(np.abs([fn(float(t)) for t in ts])))
+
+
+def require_d_upper_plus(problem: DerivativeProblem) -> Callable[[float], float]:
+    if problem.d_upper_plus is None:
+        raise UnsupportedOperationError(
+            "this operation needs the (ceil(alpha)+1)-th derivative, "
+            "which the problem does not supply"
+        )
+    return problem.d_upper_plus
 
 
 def ode_error_constant(

@@ -28,7 +28,8 @@ from .analysis import DECOMPOSE_TOL_MAX, decompose_error, fit_rate
 from .diffusive import (DerivativeProblem, TimeGrid, build_system, fractional_part, graded_grid,
                         stiffness_report, uniform_grid)
 from .errors import EvaluationError, InsufficientDataError, InvalidParameterError, OracleError
-from .oracle import TOL_MAX, _validate_tol, brute_force_caputo, corpus_function, make_problem
+from .corpus import corpus_function, make_problem
+from .oracle import TOL_MAX, _validate_tol, brute_force_caputo
 from .quadrature import QuadratureRule, _check_count, gauss_laguerre_rule, truncate_rule
 from .steppers import BACKWARD_EULER, METHODS, evaluate_derivative
 
@@ -197,14 +198,14 @@ def parse_config(text: str) -> RunConfig:
     if "alpha" in v:
         with _building("alpha"):
             fractional_part(v["alpha"])
-    if command == "stiffness":
-        config.problem = DerivativeProblem(v["alpha"], 0.0, 1.0, d_upper=lambda t: 0.0)
+        with _building("T"):  # stiffness takes neither a nor T and runs on this problem
+            config.problem = DerivativeProblem(v["alpha"], v.get("a", 0.0), v.get("T", 1.0),
+                                               d_upper=lambda t: 0.0)
     if "function" in pairs:
         args = (pairs["function"], v["alpha"], v["a"], v["T"])
         with _building("function"):
             config.exact = corpus_function(*args).exact_caputo
-        with _building("T"):
-            config.problem = make_problem(*args)
+        config.problem = make_problem(*args)
 
     if "K_list" in v:
         config.resolutions = v["K_list"]

@@ -20,23 +20,21 @@ problem declares the power law of its data there), so they owe nothing to the
 quadrature or stepping modules they are used to check; ``scipy.integrate`` is
 imported on the first quadrature, not with this module.  A declared window
 replaces only the inner integrals over the data, so ``brute_force_caputo``
-and the outer w-integral stay independent routes.  A small corpus of test
-functions with hand-written derivatives, closed-form windows bound to a span
-(or a column of spans) and closed-form values rounds out the module.
+and the outer w-integral stay independent routes.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .diffusive import DerivativeProblem, _validate_order
-from .errors import InvalidParameterError, OracleError, UnsupportedOperationError
+from .corpus import _LazyModule
+from .corpus import corpus_function, make_problem  # noqa: F401 - perfbench reads and rebinds both
+from .diffusive import DerivativeProblem
+from .errors import InvalidParameterError, OracleError
 
 TOL_MIN = 1e-14
 TOL_MAX = 1e-6
@@ -48,24 +46,8 @@ _CLIP_LENGTHS = 40.0
 #: times per window call in ``_combinations``, so a walk's extra memory is O(K)
 _CHUNK = 64
 
-
-class _LazyModule:
-    """Imports module ``name`` on the first attribute read and keeps each
-    attribute it hands out, so later reads are plain instance lookups."""
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        value = getattr(importlib.import_module(self._name), attr)
-        setattr(self, attr, value)
-        return value
-
-
 #: a module attribute, not a per-call import, so perfbench/tracing.py can rebind it
 integrate = _LazyModule("scipy.integrate")
-#: Kummer's function for the power-law windows of the corpus
-special = _LazyModule("scipy.special")
 
 #: ln 2^60: past this decay a declared window takes its boundary-layer limit
 #: d_upper(t) / decay, whose relative error is about (t - a) |d_upper'(t)| /
@@ -353,223 +335,3 @@ def brute_force_caputo(problem: DerivativeProblem, t: float, tol: float = 1e-10)
                               weight="alg", wvar=(sigma, mu - 1.0))
     beta = math.exp(math.lgamma(sigma + 1.0) + math.lgamma(mu) - math.lgamma(sigma + mu + 1.0))
     return _scaled(rest + r1 * beta, log_factor)
-
-
-# --- test corpus -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Derivative data for one corpus entry, bound to a specific order alpha.
-
-    ``d_upper`` is the ceil(alpha)-th derivative, ``d_upper_plus`` the next
-    one, and ``exact_caputo`` the closed-form derivative where one exists.
-    Exact sup-norms over [a, a + T] are carried where they are trivial, and
-    ``singular_part`` and ``window`` are the ``DerivativeProblem`` fields of
-    the same names.
-    """
-
-    name: str
-    d_upper: Callable[[float], float]
-    d_upper_plus: Callable[[float], float] | None
-    exact_caputo: Callable[[float], float] | None
-    d_upper_sup: float | None = None
-    d_upper_plus_sup: float | None = None
-    singular_part: tuple[float, Callable[[float], float]] | None = None
-    window: Callable[[float], Callable[[float], float]] | None = None
-
-
-_POWER_EXPONENTS = {"pow1": 1.0, "pow2": 2.0, "pow3": 3.0, "pow2.5": 2.5}
-
-
-def corpus_names() -> tuple[str, ...]:
-    return (*_POWER_EXPONENTS, "exp", "sin")
-
-
-def _power_derivative(
-    p: float, order: float, a: float, T: float
-) -> tuple[Callable[[float], float], float | None]:
-    """order-th derivative of (t - a)^p, plus its sup-norm over [a, a + T].
-
-    ``order`` may be fractional, which gives the Caputo derivative for
-    p > ceil(order) - 1.  The sup is None when the exponent p - order is
-    negative (the derivative is unbounded near a, and infinite at a) and 0
-    for integer p below the order.
-    """
-    if p == int(p) and order > p:
-        return (lambda t: 0.0), 0.0
-    coeff = math.gamma(p + 1.0) / math.gamma(p - order + 1.0)
-    expo = p - order
-
-    def deriv(t: float, _c: float = coeff, _e: float = expo, _a: float = a) -> float:
-        dt = t - _a
-        if dt == 0.0 and _e < 0.0:
-            return math.inf
-        try:  # inline rather than a helper: this runs inside nested quad
-            return _c * dt**_e
-        except OverflowError:
-            return math.copysign(math.inf, _c)
-
-    # |deriv| grows with t - a: its sup is at t - a = T exactly, inf on overflow
-    return deriv, abs(deriv(T, _a=0.0)) if expo >= 0.0 else None
-
-
-def _unit_series(z):
-    """int_0^1 e^{-z v} dv by its Taylor series, for |z| <= 1/2 (z or a complex array)."""
-    term, total = 1.0 + 0j, 0j
-    for n in range(2, 18):  # (-z)^k / (k + 1)! for k <= 15, below 2^-60 of the sum
-        total += term
-        term *= -z / n
-    return total
-
-
-def _sin_window(m: int) -> Callable[[float], Callable[[float], float]]:
-    """The unit window of sin(t - a + m pi / 2) = Im i^m e^{i(t - a)}: bound to S,
-    V_S(decay) = Im i^m e^{iS} J(decay + iS), J(z) = int_0^1 e^{-z v} dv, each
-    part of J to a few ulp of the magnitude: its Taylor series where |z| <= 1/2,
-    else (1 - e^{-z}) / z formed with expm1 and 1 - cos S = 2 sin^2(S / 2)."""
-
-    def window(span: float, _turn: complex = 1j**m) -> Callable[[float], float]:
-        lib = np if isinstance(span, np.ndarray) else math
-        versine, cos, sin = 2.0 * lib.sin(0.5 * span) ** 2, lib.cos(span), lib.sin(span)
-        turned = _turn * (cos + 1j * sin)
-
-        def at(decay: float) -> float:
-            z = decay + 1j * span
-            if not isinstance(z, np.ndarray):
-                if abs(z) <= 0.5:
-                    return (turned * _unit_series(z)).imag
-                return (turned * (complex(versine - math.expm1(-decay) * cos,
-                                          math.exp(-decay) * sin) / z)).imag
-            near = np.abs(z) <= 0.5
-            with np.errstate(all="ignore"):  # the entries near 0 are replaced below
-                out = (versine - np.expm1(-decay) * cos + 1j * (np.exp(-decay) * sin)) / z
-            if near.any():
-                out[near] = _unit_series(z[near])
-            return (turned * out).imag
-
-        return at
-
-    return window
-
-
-def _power_window(p: float, m: int) -> Callable[[float], Callable[[float], float]]:
-    """The unit window of the m-th derivative of (t - a)^p, for integer p or p > m - 1.
-
-    That derivative is C u^e at u = tau - a, e = p - m, and int_0^1 (1 - v)^e
-    e^{-decay v} dv is M(1, e + 2, -decay) / (e + 1), Kummer's function
-    (DLMF 13.4.1), so the window bound to S is C S^e / (e + 1) times
-    M(1, e + 2, -decay); it is 0 for integer p below m and inf where S^e
-    overflows.  Scalar decays share a bounded memo of M: the outer QAWS
-    integral of ``reference_quadrature`` samples the same decays at every time.
-    """
-    if p == int(p) and m > p:
-        return lambda span: lambda decay: 0.0 * span * decay  # 0, or zeros shaped like both
-    expo = p - m
-    coeff = math.gamma(p + 1.0) / math.gamma(expo + 2.0)  # C / (e + 1)
-    kummer = functools.lru_cache(maxsize=1024)(
-        lambda decay: float(special.hyp1f1(1.0, expo + 2.0, -decay)))
-
-    def window(span: float) -> Callable[[float], float]:
-        with np.errstate(over="ignore"):  # an array of spans past double range
-            try:
-                scale = coeff * span**expo
-            except OverflowError:  # a float span past it
-                scale = math.inf  # M(1, e + 2, -decay) > 0
-        return lambda decay: scale * (special.hyp1f1(1.0, expo + 2.0, -decay)
-                                      if isinstance(decay, np.ndarray) else kummer(decay))
-
-    return window
-
-
-def corpus_function(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> TestFunction:
-    """Build the corpus entry ``name`` for order ``alpha`` on [a, a + T]."""
-    m = math.ceil(_validate_order(alpha))
-    if name in _POWER_EXPONENTS:
-        p = _POWER_EXPONENTS[name]
-        d_upper, sup = _power_derivative(p, m, a, T)
-        d_upper_plus, sup_plus = _power_derivative(p, m + 1, a, T)
-        # the Caputo derivative of (t - a)^p is its order-alpha power-law
-        # derivative (zero for integer p below alpha); there is no closed
-        # form when the m-th derivative is not integrable at a
-        exact = singular = window = None
-        if p == int(p) or p > m - 1:
-            exact, _ = _power_derivative(p, alpha, a, T)
-            window = _power_window(p, m)
-        if p > m - 1:
-            # d_upper(a + u) = coeff u^{p - m}, integrable at a since p - m > -1
-            coeff = math.gamma(p + 1.0) / math.gamma(p - m + 1.0)
-            singular = (p - m, lambda u, _c=coeff: _c)
-        return TestFunction(
-            name=name,
-            d_upper=d_upper,
-            d_upper_plus=d_upper_plus,
-            exact_caputo=exact,
-            d_upper_sup=sup,
-            d_upper_plus_sup=sup_plus,
-            singular_part=singular,
-            window=window,
-        )
-    if name == "exp":
-
-        def fn(t: float, _a: float = a) -> float:
-            try:  # inline, as in _power_derivative
-                return math.exp(t - _a)
-            except OverflowError:
-                return math.inf
-
-        def window(span: float) -> Callable[[float], float]:
-            # e^S int_0^1 e^{-z v} dv = e^S (1 - e^{-z}) / z, real z = decay + S > 0
-            with np.errstate(over="ignore"):  # an array of spans past double range
-                try:
-                    scale = (np.exp if isinstance(span, np.ndarray) else math.exp)(span)
-                except OverflowError:  # a float span past it
-                    scale = math.inf
-
-            def at(decay: float) -> float:
-                z = decay + span
-                return scale * (-(np.expm1 if isinstance(z, np.ndarray) else math.expm1)(-z) / z)
-
-            return at
-
-        sup = fn(T, 0.0)  # e^T, inf where that overflows
-        return TestFunction(
-            name=name,
-            d_upper=fn,
-            d_upper_plus=fn,
-            exact_caputo=None,
-            d_upper_sup=sup,
-            d_upper_plus_sup=sup,
-            window=window,
-        )
-    if name == "sin":
-        half_pi = 0.5 * math.pi
-
-        def shifted(order: int) -> Callable[[float], float]:
-            return lambda t, _s=order * half_pi, _a=a: math.sin(t - _a + _s)
-
-        return TestFunction(
-            name=name,
-            d_upper=shifted(m),
-            d_upper_plus=shifted(m + 1),
-            exact_caputo=None,
-            window=_sin_window(m),
-        )
-    raise InvalidParameterError(f"unknown corpus function {name!r}; known: {corpus_names()}")
-
-
-def make_problem(name: str, alpha: float, a: float = 0.0, T: float = 1.0) -> DerivativeProblem:
-    """Wire a corpus entry into a ready-to-run problem."""
-    fn = corpus_function(name, alpha, a=a, T=T)
-    return DerivativeProblem(alpha=alpha, a=a, T=T, d_upper=fn.d_upper,
-                             d_upper_plus=fn.d_upper_plus, singular_part=fn.singular_part,
-                             window=fn.window)
-
-
-def require_d_upper_plus(problem: DerivativeProblem) -> Callable[[float], float]:
-    if problem.d_upper_plus is None:
-        raise UnsupportedOperationError(
-            "this operation needs the (ceil(alpha)+1)-th derivative, "
-            "which the problem does not supply"
-        )
-    return problem.d_upper_plus

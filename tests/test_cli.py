@@ -260,6 +260,10 @@ _CONVERGENCE = "command = convergence\nalpha = 0.5\na = 0\nT = 1\nfunction = pow
             "known: ('pow1', 'pow2', 'pow3', 'pow2.5', 'exp', 'sin')",
         ),
         (
+            _DERIVATIVE.replace("pow2", "pow7").replace("T = 1\n", "T = -1\n"),
+            "T: interval length must be positive, got -1.0",
+        ),
+        (
             _DERIVATIVE.replace("alpha = 0.5", "alpha = 2.0"),
             "alpha: integer orders are rejected (sin(alpha*pi) degenerates), got 2.0",
         ),

@@ -32,8 +32,8 @@ from diffcap import (
     signed_prefactor,
     uniform_grid,
 )
-from diffcap import oracle
-from diffcap.oracle import require_d_upper_plus
+from diffcap import corpus, oracle
+from diffcap.analysis import require_d_upper_plus
 from diffcap.quadrature import QuadratureRule
 
 
@@ -346,7 +346,7 @@ def test_a_request_takes_kummer_once_per_outer_node_and_one_window_call_per_walk
     # one array and takes their 2K nodes each in one array call.  Counts,
     # unlike timings, repeat exactly
     special = _CountingSpecial(scipy.special)
-    monkeypatch.setattr(oracle, "special", special)
+    monkeypatch.setattr(corpus, "special", special)
     q, outer_nodes = fractional_part(alpha), set()
 
     def quad(f, lo, hi, **kwargs):
@@ -372,7 +372,7 @@ def test_reference_quadrature_reads_the_same_with_a_warm_kummer_memo(monkeypatch
     # the memo keeps what hyp1f1 returned, so warming it with other times
     # leaves every value bit for bit, and the warm call needs no new hyp1f1
     special = _CountingSpecial(scipy.special)
-    monkeypatch.setattr(oracle, "special", special)
+    monkeypatch.setattr(corpus, "special", special)
     fresh = reference_quadrature(make_problem("pow2", 0.7, a=0.3, T=2.0), 2.3, 1e-9)
     problem = make_problem("pow2", 0.7, a=0.3, T=2.0)
     for t in (0.55, 1.3, 1.8):
@@ -601,8 +601,8 @@ def test_elementary_windows_match_their_closed_forms(m):
     # Taylor branch at |decay + iS| = 1/2, at subnormal and long spans, one
     # decay at a time and all decays of a span in one array call; where
     # V = -S / 2 is subnormal it may round to its neighbour
-    sin_window = corpus_function("sin", m - 0.5).window
-    exp_window = corpus_function("exp", m - 0.5).window
+    sin_window = corpus_function("sin", m - 0.5).problem.window
+    exp_window = corpus_function("exp", m - 0.5).problem.window
     st, ct = (0, 1, 0, -1)[m % 4], (1, 0, -1, 0)[m % 4]
     with mpmath.workdps(700):  # the closed form cancels to (S^2 + decay^2) / 2 at 1e-300
         for span in map(mpmath.mpf, _WINDOW_SPANS):
@@ -628,7 +628,7 @@ def test_corpus_windows_take_arrays_of_decays(name, m):
     # one call with an array of decays reads each decay's scalar call within
     # 1e-15 relative, and +-inf exactly where the scalar does (e^S or S^e
     # past double range)
-    window = corpus_function(name, m - 0.5).window
+    window = corpus_function(name, m - 0.5).problem.window
     if window is None:  # pow2.5 above order 3: not integrable at a
         return
     decays = np.array(_WINDOW_DECAYS)
@@ -650,7 +650,7 @@ def test_corpus_windows_bind_a_column_of_spans(name, m):
     # one bind to a column of spans against a row of decays reads each
     # (span, decay)'s scalar value within 1e-15 relative, and +-inf exactly
     # where the scalar does (e^S or S^e past double range)
-    window = corpus_function(name, m - 0.5).window
+    window = corpus_function(name, m - 0.5).problem.window
     if window is None:  # pow2.5 above order 3: not integrable at a
         return
     values = window(np.array(_WINDOW_SPANS)[:, None])(np.array(_WINDOW_DECAYS))
@@ -669,10 +669,10 @@ def test_the_sin_window_runs_its_series_only_where_a_decay_is_near_zero(monkeypa
     # at span 1 every |decay + i| >= 1, so the series has nothing to replace;
     # at span 0.3 one decay of three lies within 1/2 of 0 and takes it
     calls = []
-    series = oracle._unit_series
-    monkeypatch.setattr(oracle, "_unit_series", lambda z: calls.append(np.shape(z)) or series(z))
+    series = corpus._unit_series
+    monkeypatch.setattr(corpus, "_unit_series", lambda z: calls.append(np.shape(z)) or series(z))
     decays = np.linspace(0.0, 40.0, 40)
-    window = corpus_function("sin", 0.5).window
+    window = corpus_function("sin", 0.5).problem.window
     far = window(1.0)(decays)
     assert calls == []
     scalars = np.array([window(1.0)(d) for d in decays.tolist()])
@@ -901,12 +901,12 @@ def test_cross_oracle_agreement_on_corpus(name):
 
 def test_corpus_derivatives_are_order_specific():
     fn = corpus_function("pow3", 1.5)  # ceil(alpha) = 2: second derivative 6(t - a)
-    assert fn.d_upper(0.5) == pytest.approx(3.0)
-    assert fn.d_upper_plus(0.5) == pytest.approx(6.0)
+    assert fn.problem.d_upper(0.5) == pytest.approx(3.0)
+    assert fn.problem.d_upper_plus(0.5) == pytest.approx(6.0)
     assert fn.d_upper_sup == pytest.approx(6.0)
     fn = corpus_function("sin", 0.5)  # first derivative cos(t - a)
-    assert fn.d_upper(0.0) == pytest.approx(1.0)
-    assert fn.d_upper_plus(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert fn.problem.d_upper(0.0) == pytest.approx(1.0)
+    assert fn.problem.d_upper_plus(0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_power_sup_norms_come_from_the_derivative_at_the_interval_length():
@@ -920,13 +920,13 @@ def test_power_sup_norms_come_from_the_derivative_at_the_interval_length():
 
 def test_low_regularity_power_has_singular_next_derivative():
     fn = corpus_function("pow2.5", 1.5)  # third derivative blows up at a
-    assert fn.d_upper(0.0) == 0.0
-    assert fn.d_upper_plus(0.0) == math.inf
+    assert fn.problem.d_upper(0.0) == 0.0
+    assert fn.problem.d_upper_plus(0.0) == math.inf
     assert fn.d_upper_plus_sup is None
 
 
 #: every power and order band whose m-th derivative is a power law, p > m - 1
-_DECLARED_POWERS = [(name, alpha) for name, p in oracle._POWER_EXPONENTS.items()
+_DECLARED_POWERS = [(name, alpha) for name, p in corpus._POWER_EXPONENTS.items()
                     for alpha in (0.5, 1.3, 2.7) if p > math.ceil(alpha) - 1]
 
 
@@ -935,9 +935,9 @@ _DECLARED_POWERS = [(name, alpha) for name, p in oracle._POWER_EXPONENTS.items()
 def test_declared_singular_part_is_the_data(name, alpha, a):
     # one alpha per band: d_upper(a + u) = u^sigma r(u), sigma = p - m, at the
     # offsets u = tau - a that d_upper itself forms
-    p = oracle._POWER_EXPONENTS[name]
+    p = corpus._POWER_EXPONENTS[name]
     sigma, r = make_problem(name, alpha, a=a, T=2.3).singular_part
-    d_upper = corpus_function(name, alpha, a=a, T=2.3).d_upper
+    d_upper = corpus_function(name, alpha, a=a, T=2.3).problem.d_upper
     assert sigma == p - math.ceil(alpha)
     for tau in a + np.linspace(0.0, 2.3, 58)[1:]:
         u = float(tau) - a
@@ -961,7 +961,7 @@ def test_powers_declare_a_singular_part_where_their_data_is_a_power():
         for alpha in (0.5, 1.3, 2.7, 3.5):
             m = math.ceil(alpha)
             part = make_problem(name, alpha).singular_part
-            p = oracle._POWER_EXPONENTS.get(name)
+            p = corpus._POWER_EXPONENTS.get(name)
             assert (part is not None) == (p is not None and p > m - 1), (name, alpha)
             if part is not None:
                 assert part[0] == p - m
@@ -975,7 +975,7 @@ def test_closed_forms_overflow_to_infinity():
     assert corpus_function("pow2", 0.5, a=1e300, T=1e300).exact_caputo(2e300) == math.inf
     assert corpus_function("pow3", 0.5, T=1e300).d_upper_sup == math.inf
     # the fourth derivative of (t - a)^2.5 is negative and overflows next to a
-    assert corpus_function("pow2.5", 2.3).d_upper_plus(1e-300) == -math.inf
+    assert corpus_function("pow2.5", 2.3).problem.d_upper_plus(1e-300) == -math.inf
 
 
 def test_unknown_corpus_name_rejected():

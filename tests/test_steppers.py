@@ -34,7 +34,7 @@ from diffcap import (
     uniform_grid,
 )
 from diffcap import steppers
-from diffcap.oracle import corpus_names
+from diffcap.corpus import corpus_names
 from diffcap.steppers import (
     _BLOCK,
     _CHUNK,
