@@ -216,8 +216,11 @@ def verify_ode_error_bound(
     d_upper_sup: float | None = None,
     d_upper_plus_sup: float | None = None,
 ) -> OdeBoundReport:
-    """Check max_n |r_ode| <= C(K) T h for each uniform grid size in n_list."""
+    """Check max_n |r_ode| <= C(K) T h for each uniform grid size in nonempty n_list."""
     truth_tol = _validate_tol(truth_tol)
+    n_list = list(n_list)
+    if not n_list:
+        raise InvalidParameterError("n_list must be nonempty")
     constant = ode_error_constant(
         problem, rule, d_upper_sup=d_upper_sup, d_upper_plus_sup=d_upper_plus_sup
     )

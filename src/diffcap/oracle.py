@@ -25,7 +25,6 @@ and the outer w-integral stay independent routes.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -112,64 +111,39 @@ def _scaled(raw: float, log_factor: float) -> float:
         return math.copysign(math.inf, raw)
 
 
-def _window(
-    problem: DerivativeProblem, t: float, length: float, decay: float, log_tol: float
-) -> float:
-    """int_0^1 d_upper(lo + length (1 - v)) exp(-decay v) dv, to exp(log_tol).
+def _quadrature_value(problem: DerivativeProblem, t: float, decay: float, log_tol: float) -> float:
+    """V(decay) at span S = t - a by adaptive quadrature, for data that declares no window.
 
-    Times ``length``, this is W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau
-    on [lo, t], for decay = length r <= 40: ``_quadrature_window`` clips the
-    rest to 40 decay lengths.  A full window (length == t - a) keeps lo = a
-    exactly, so tau - a keeps its precision where data singular at a is
-    steepest; a clipped one starts at lo = max(t - length, a), and at length
-    0 every sample lies at tau = t.  Where the problem declares d_upper(a + u) =
-    u^sigma r(u), a full window is length^sigma times a QAWS integral of
-    r(length (1 - v)) e^{-decay v} against the weight (1 - v)^sigma, so
-    QUADPACK need not bisect toward the singularity at tau = a; length^sigma
-    is carried in logs, and so is the target it divides.
+    V = int_0^1 d_upper(lo + length (1 - v)) exp(-decay v) dv, which times
+    ``length`` is W(r) = int_a^t d_upper(tau) e^{-(t - tau) r} dtau on [lo, t],
+    is integrated to e^{log_tol} / (1 + decay), so (1 + decay) V, which stays
+    within the data's range, meets e^{log_tol}.  Up to decay 40 the window is
+    full: length S and lo = a exactly, so tau - a keeps its precision where
+    data singular at a is steepest.  Past it, V is share = 40 / decay times
+    the window clipped to length share S at decay 40, lo = max(t - length, a),
+    so every sample is well conditioned however thin the boundary layer; at
+    length 0 every sample lies at tau = t.  Where the problem declares
+    d_upper(a + u) = u^sigma r(u), a full window is length^sigma times a QAWS
+    integral of r(length (1 - v)) e^{-decay v} against the weight
+    (1 - v)^sigma, so QUADPACK need not bisect toward the singularity at
+    tau = a; length^sigma is carried in logs, and so is the target it divides.
     """
-    a = problem.a
+    a, share = problem.a, 1.0
+    length, log_tol = t - a, log_tol - math.log1p(decay)
+    if decay > _CLIP_LENGTHS:
+        share = _CLIP_LENGTHS / decay
+        length, decay, log_tol = share * length, _CLIP_LENGTHS, log_tol - math.log(share)
     if length == t - a and problem.singular_part is not None:
         sigma, r = problem.singular_part
         log_factor = sigma * math.log(length)
         raw = _adaptive_integral(lambda v: r(length * (1.0 - v)) * math.exp(-decay * v),
                                  0.0, 1.0, _bounded_exp(log_tol - log_factor),
                                  weight="alg", wvar=(0.0, sigma))
-        return _scaled(raw, log_factor)
+        return share * _scaled(raw, log_factor)
     lo = a if length == t - a else max(t - length, a)
     g = problem.d_upper
-    return _adaptive_integral(lambda v: g(lo + length * (1.0 - v)) * math.exp(-decay * v),
-                              0.0, 1.0, _bounded_exp(log_tol))
-
-
-def _quadrature_window(
-    problem: DerivativeProblem, t: float, log_tol: float | np.ndarray
-) -> Callable[[float], float]:
-    """V(decay) at span S = t - a by adaptive quadrature, for data that declares none.
-
-    Each decay (a float, or each element of an array) is integrated to
-    e^{log_tol} / (1 + decay), so (1 + decay) V, which stays within the data's
-    range, meets e^{log_tol}; an array ``log_tol`` pairs with the decays.  Up
-    to decay 40, V is one full ``_window``; past it, 40 / decay times a
-    ``_window`` clipped to length 40 S / decay at decay 40, so every sample is
-    well conditioned however thin the boundary layer.  Values are cached per
-    window: QAWS samples x = 0 and shared subinterval ends again.
-    """
-
-    @functools.cache
-    def value(decay: float, log_tol: float) -> float:
-        span, log_tol = t - problem.a, log_tol - math.log1p(decay)
-        if decay <= _CLIP_LENGTHS:
-            return _window(problem, t, span, decay, log_tol)
-        share = _CLIP_LENGTHS / decay
-        return share * _window(problem, t, share * span, _CLIP_LENGTHS, log_tol - math.log(share))
-
-    def window(decay: float) -> float:
-        if isinstance(decay, np.ndarray):
-            return np.frompyfunc(value, 2, 1)(decay, log_tol).astype(float)
-        return value(decay, log_tol)
-
-    return window
+    return share * _adaptive_integral(lambda v: g(lo + length * (1.0 - v)) * math.exp(-decay * v),
+                                      0.0, 1.0, _bounded_exp(log_tol))
 
 
 def _finite(value: float, t: float) -> float:
@@ -180,16 +154,16 @@ def _finite(value: float, t: float) -> float:
 
 
 def _phi(problem: DerivativeProblem, w: np.ndarray, times: list[float],
-         log_tol: Callable[[], float | np.ndarray]) -> np.ndarray:
+         log_tol: float | np.ndarray) -> np.ndarray:
     """phi(w, t) = c e^{w q} S V_S(S e^w), S = t - a, a row per time and a column per w.
 
     V is the declared window, bound once to the column of spans and called
-    once for all decays up to 2^60, else a ``_quadrature_window`` per time,
-    each phi to e^{log_tol()} (a float, or one target per w), formed only on
-    that route.  Past decay 2^60 phi is its boundary-layer limit c d_upper(t)
-    e^{-(1 - q) w}, so no quadrature is thrown away.  The magnitude is formed
-    in logs, +-inf past double range; w = +-inf and t = a give 0.  A V or
-    d_upper(t) that is not finite raises ``OracleError`` naming its earliest t.
+    once for all decays up to 2^60, else one ``_quadrature_value`` per time
+    and decay, each phi to e^{log_tol} (a float, or one target per w).  Past
+    decay 2^60 phi is its boundary-layer limit c d_upper(t) e^{-(1 - q) w},
+    so no quadrature is thrown away.  The magnitude is formed in logs, +-inf
+    past double range; w = +-inf and t = a give 0.  A V or d_upper(t) that is
+    not finite raises ``OracleError`` naming its earliest t.
     """
     a, q = problem.a, problem.fractional_part
     phi, live = np.zeros((len(times), len(w))), np.array(times) > a
@@ -206,9 +180,10 @@ def _phi(problem: DerivativeProblem, w: np.ndarray, times: list[float],
         raw = problem.window(spans)(decay)
     else:
         raw = np.zeros_like(decay)
-        targets = log_tol() - log_scale + np.log1p(decay)  # V's targets, per w
+        targets = log_tol - log_scale + np.log1p(decay)  # V's targets, per w
         for row, (t, near) in enumerate(zip(times, ~past)):  # near: decay at most 2^60
-            raw[row, near] = _quadrature_window(problem, t, targets[row, near])(decay[row, near])
+            raw[row, near] = [_quadrature_value(problem, t, d, log_v) for d, log_v
+                              in zip(decay[row, near].tolist(), targets[row, near].tolist())]
     if past.any():
         limits = [[problem.d_upper(t) if row.any() else 0.0] for t, row in zip(times, past)]
         raw = np.where(past, limits, raw)
@@ -232,18 +207,15 @@ def exact_phi(problem: DerivativeProblem, w: float, t: float, tol: float = 1e-12
     t = _validate_time(problem, t)
     if math.isnan(w):
         raise InvalidParameterError("w must be a number, got nan")
-    return float(_phi(problem, np.array([float(w)]), [t], lambda: math.log(tol))[0, 0])
+    return float(_phi(problem, np.array([float(w)]), [t], math.log(tol))[0, 0])
 
 
 def _combinations(problem: DerivativeProblem, rule, times: list[float], budget: float):
     """``exact_combination`` at times in [a, a + T], a (times x K) array per ``_CHUNK``."""
     q, npoints = problem.fractional_part, len(rule.nodes)
     w = np.concatenate((-rule.nodes / q, rule.nodes / (1.0 - q)))
-
-    def node_log_tols() -> np.ndarray:
-        split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
-        return np.tile(split - (rule.log_weights + rule.nodes), 2)
-
+    split = math.log(budget) + math.log(min(q, 1.0 - q)) - math.log(4.0 * npoints)
+    node_log_tols = np.tile(split - (rule.log_weights + rule.nodes), 2)
     for start in range(0, len(times), _CHUNK):
         phi = _phi(problem, w, times[start:start + _CHUNK], node_log_tols)
         yield phi[:, :npoints] / q + phi[:, npoints:] / (1.0 - q)
@@ -282,7 +254,7 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     vanishes at 0; both terms use the same F(0), so its error cancels to
     first order.  The outer integral takes a quarter of tol and the F values
     the rest: c int x^{q-1} (1 - x)^{-q} dx = 1, so an F error delta moves
-    the value by delta s^{-q}; F = s (1 + d) V_s, so a ``_quadrature_window``
+    the value by delta s^{-q}; F = s (1 + d) V_s, so ``_quadrature_value``
     takes V_s to 0.75 tol s^q / s.  The returned value carries an estimated
     error of at most about tol.
     """
@@ -293,15 +265,19 @@ def reference_quadrature(problem: DerivativeProblem, t: float, tol: float = 1e-1
     q, c = problem.fractional_part, problem.prefactor
     s = t - problem.a
     log_scaled = math.log(tol) + q * math.log(s)  # ln(tol s^q)
+    log_v = log_scaled + math.log(0.75) - math.log(s)
     window = (problem.window(s) if problem.window is not None
-              else _quadrature_window(problem, t, log_scaled + math.log(0.75) - math.log(s)))
+              else lambda decay: _quadrature_value(problem, t, decay, log_v))
     # at x = 1 the boundary-layer limit (1 + d) V -> d_upper(t)
     f0, f1 = s * _finite(window(0.0), t), s * _finite(problem.d_upper(t), t)
 
     def integrand(x: float) -> float:
         if x == 1.0:
             return f1
-        return s / (1.0 - x) * _finite(window(x / (1.0 - x)), t) - (1.0 - x) * f0
+        value = window(x / (1.0 - x))
+        if not math.isfinite(value):
+            _finite(value, t)  # raises
+        return s / (1.0 - x) * float(value) - (1.0 - x) * f0
 
     rest = _adaptive_integral(integrand, 0.0, 1.0,
                               _bounded_exp(log_scaled - math.log(4.0 * c)),

@@ -367,6 +367,12 @@ def test_ode_error_bound_holds_on_smooth_problem():
         assert row.max_abs_r_ode <= row.bound
 
 
+def test_ode_error_bound_rejects_an_empty_grid_list():
+    # no rows is no evidence, so it must not read as a pass
+    with pytest.raises(InvalidParameterError, match="n_list must be nonempty"):
+        verify_ode_error_bound(make_problem("pow2", 0.5), gauss_laguerre_rule(2), [])
+
+
 def test_ode_error_bound_is_linear_in_h():
     fn = corpus_function("pow2", 0.5)
     report = verify_ode_error_bound(

@@ -314,12 +314,13 @@ class _CountingForcing:
 @pytest.mark.parametrize("name, t, max_samples", [("pow2", 1.0, 4000), ("sin", 0.7, 6300)])
 def test_reference_quadrature_takes_one_outer_qaws_integral(name, t, max_samples, monkeypatch):
     # one QAWS integral over the whole w line, with weights at both ends of
-    # its logistic variable, makes 85 quad calls here for pow2 and for sin,
-    # with 2647 (pow2) and 2605 (sin) d_upper samples, each outer abscissa
-    # evaluated once, on the quadrature path: counts, unlike timings, repeat
-    # exactly.  With the declared windows one quad call is left, the outer
-    # integral, and one d_upper sample, at t for F(1).  pow2's declared
-    # singular part is stripped too, so its windows sample d_upper
+    # its logistic variable, makes 90 quad calls here for pow2 and for sin,
+    # with 2752 (pow2) and 2710 (sin) d_upper samples, on the quadrature
+    # path, where an outer abscissa sampled twice integrates its window
+    # twice: counts, unlike timings, repeat exactly.  With the declared
+    # windows one quad call is left, the outer integral, and one d_upper
+    # sample, at t for F(1).  pow2's declared singular part is stripped
+    # too, so its windows sample d_upper
     counter = _CountingIntegrate(oracle.integrate)
     monkeypatch.setattr(oracle, "integrate", counter)
     problem = make_problem(name, 0.5)
@@ -387,7 +388,7 @@ def test_reference_quadrature_reads_no_data_on_declared_full_windows(alpha, max_
                                                                      monkeypatch):
     # pow2.5 declares d_upper(a + u) = u^sigma r(u), so each full window is one
     # QAWS integral of r (wvar (0, sigma)) and only clipped windows read
-    # d_upper: 840 (alpha 0.5) and 1470 (alpha 2.3) samples here, against
+    # d_upper: 736 (alpha 0.5) and 1366 (alpha 2.3) samples here, against
     # 17325 and 37611 with QUADPACK bisecting toward tau = a
     problem = dataclasses.replace(make_problem("pow2.5", alpha), window=None)
     forcing = _CountingForcing(problem.d_upper)
@@ -557,14 +558,17 @@ _DECLARED_WS = (-math.inf, -30.0, -1.0, 0.0, 3.0, 40.0, 760.0, 1e4, math.inf)
 def test_declared_windows_match_the_quadrature_path(name, a, T):
     # the closed-form windows and nested quad read each oracle within
     # 2 max(tol, 5e-13 |value|) of each other; ln 2^60 - ln(t - a) -+ 1e-9
-    # straddle the switch to the boundary-layer limit of exact_phi
+    # straddle the switch to the boundary-layer limit of exact_phi, and
+    # ln 40 - ln(t - a) and its -+ 1e-9 the quadrature path's clip at decay 40
     rule = gauss_laguerre_rule(8)
     weights = np.exp(rule.log_weights + rule.nodes)
     for alpha in _DECLARED_ALPHAS:
         declared, stripped = _both_paths(make_problem(name, alpha, a=a, T=T))
         for t in (a + 0.1 * T, a + T):
             switch = 60.0 * math.log(2.0) - math.log(t - a)
-            for w in (*_DECLARED_WS, switch - 1e-9, switch + 1e-9):
+            clip = math.log(40.0) - math.log(t - a)
+            for w in (*_DECLARED_WS, switch - 1e-9, switch + 1e-9,
+                      clip - 1e-9, clip, clip + 1e-9):
                 value = exact_phi(declared, w, t, 1e-13)
                 gap = value - exact_phi(stripped, w, t, 1e-13)
                 assert abs(gap) <= 2.0 * max(1e-13, 5e-13 * abs(value)), (alpha, t, w, gap)
