@@ -187,14 +187,16 @@ class TimeGrid:
         pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays theirs
         if pts.ndim != 1 or len(pts) < 2:
             raise InvalidParameterError("a grid needs at least two points")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidParameterError("grid points must be finite")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             steps = np.diff(pts)
-        if np.any(steps <= 0.0):
-            raise InvalidParameterError("grid points must be strictly increasing")
-        if not np.all(np.isfinite(steps)):
-            raise InvalidParameterError("grid steps must be finite")
+        # every step finite and positive: then so is every point, as each has a neighbour
+        if not (steps.min() > 0.0 and steps.max() < math.inf):
+            if not np.all(np.isfinite(pts)):
+                raise InvalidParameterError("grid points must be finite")
+            if np.any(steps <= 0.0):
+                raise InvalidParameterError("grid points must be strictly increasing")
+            if not np.all(np.isfinite(steps)):
+                raise InvalidParameterError("grid steps must be finite")
         pts.setflags(write=False)
         steps.setflags(write=False)
         object.__setattr__(self, "points", pts)

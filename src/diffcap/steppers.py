@@ -17,16 +17,18 @@ The derivative itself is the weighted sum ``system.weights @ phi`` over the
 One loop walks the grid with a state of 2K numbers, or, for the folded
 stream, of the modes that move at this grid's steps and span plus one
 column per frozen set (stiff, or slow).  It takes the first step alone,
-then passes of several steps; each pass samples its forcing as one checked
-array, forms its sums f_i once, and is of one of two kinds.  A table pass
-forms the (A, Q) of its steps as two tables, then takes two array
-operations a step.  A block pass serves the folded stream on a grid of one
-step length h, where a block of m steps has a closed form: phi_{n+j} =
-A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i, so y_{n+j} = weights . phi_{n+j} is
-one (m x 2K) table times phi_n plus a lower-triangular Toeplitz kernel times
-the m sums, and phi_{n+m} is A^m phi_n plus one more (m x 2K) product (the
-sum-of-exponentials blocks of Lubich & Schaedle, SIAM J. Sci. Comput. 24(1),
-2002).  A pass lays up to sixteen blocks' sums out as rows, one product each.
+then passes of several steps; each pass samples its forcing into one
+buffer, in checked pieces of at most 512 values, forms its sums f_i there
+once, and is of one of two kinds.  A table pass forms the (A, Q) of its
+steps as two tables, then takes two array operations a step.  A block pass
+serves the folded stream on a grid of one step length h, where a block of
+m steps has a closed form: phi_{n+j} = A^j phi_n + sum_{i<=j} A^{j-i} Q c f_i,
+so y_{n+j} = weights . phi_{n+j} is one (m x 2K) table times phi_n plus a
+lower-triangular Toeplitz kernel times the m sums, and phi_{n+m} is A^m phi_n
+plus one more (m x 2K) product (the sum-of-exponentials blocks of Lubich &
+Schaedle, SIAM J. Sci. Comput. 24(1), 2002).  A pass lays up to thirty-two
+blocks' sums out as rows, one product each, and finds its block-start states
+by rounds of doubling on that recurrence.
 """
 
 from __future__ import annotations
@@ -86,15 +88,16 @@ def _collapse(system: DiffusiveSystem, method: str, points: np.ndarray, h_min: f
     log_h = math.log(h_min) - (math.log(4.0 * (len(points) - 1)) if method == TRAPEZOIDAL else 0.0)
     slow = w <= math.log(1e-17) - math.log(points[-1] - points[0])
     stiff = w >= math.log(1e17) - log_h
-    moving = ~(slow | stiff)
-    columns = [(u[moving], e_minus_qw[moving], e_rest[moving], weights[moving])]
-    if slow.any():
+    # one row per quantity, one column per mode and then one per frozen set
+    table, keep = np.empty((4, len(w) + 2)), np.append(~(slow | stiff), (slow.any(), stiff.any()))
+    table[:, :-2] = u, e_minus_qw, e_rest, weights
+    if keep[-2]:
         scale = np.exp(q * (w[slow] - w[slow].max()))
-        columns.append(([np.inf], [e_minus_qw[slow].min()], [0.0], [weights[slow].dot(scale)]))
-    if stiff.any():
+        table[:, -2] = np.inf, e_minus_qw[slow].min(), 0.0, weights[slow].dot(scale)
+    if keep[-1]:
         scale = np.exp((q - 1.0) * (w[stiff] - w[stiff].min()))
-        columns.append(([0.0], [0.0], [e_rest[stiff].min()], [weights[stiff].dot(scale)]))
-    u, e_minus_qw, e_rest, weights = np.hstack(columns)
+        table[:, -1] = 0.0, 0.0, e_rest[stiff].min(), weights[stiff].dot(scale)
+    u, e_minus_qw, e_rest, weights = table.compress(keep, axis=1)
     return (u, e_minus_qw, e_rest), weights
 
 
@@ -129,7 +132,11 @@ _CHUNK = 16
 #: steps of one table pass of the folded stream, and of one block of a block pass
 _BLOCK = 32
 #: blocks of one block pass, which share its fixed costs; more outgrow the heap bound
-_PASS_BLOCKS = 16
+_PASS_BLOCKS = 32
+#: the shifts of the doubling rounds that turn a block pass's increments into its states
+_SHIFTS = tuple(1 << k for k in range(_PASS_BLOCKS.bit_length()))
+#: forcing values sampled at a time into a pass's buffer, so few Python floats live at once
+_PIECE = 512
 #: largest |step - T/N| / (T/N) of a grid that block passes step as uniform
 _UNIFORM_SPREAD = 3e-11
 
@@ -209,10 +216,12 @@ def iter_solution(
     The first array is the read-only zero state.  To run on the first K*
     nodes only, pass ``truncate_rule(rule, K*)``.  Nothing runs or is checked
     before the first ``next``.  d_upper is called once per grid time after a,
-    in order, with a Python float, each pass's times before that pass yields
-    (a bad value lets the rest of its pass, up to 511 calls, run before it is
-    named); the first step is backward Euler whatever the method (a Rannacher
-    start), so no method reads d_upper(a) or keeps a start-up error.
+    in order, with a Python float, each pass's times before that pass yields.
+    A pass samples its times in pieces of _PIECE = 512, each checked as one
+    float array, so a bad value lets the rest of its piece, up to 511 calls,
+    run before it is named, and no later piece is called.  The first step is
+    backward Euler whatever the method (a Rannacher start), so no method reads
+    d_upper(a) or keeps a start-up error.
 
     With ``folded=True`` it yields the Python float derivative values instead,
     the first one included: each phi folded with the system's weights.  That
@@ -223,9 +232,12 @@ def iter_solution(
     After the first step, which goes alone, the grid is walked in passes of
     _BLOCK = 32 steps on the folded stream and _CHUNK = 16 on the phi stream.
     A folded stream whose grid steps all lie within a relative 3e-11 of T/N
-    takes block passes of up to _PASS_BLOCKS = 16 such blocks, a few matrix
-    products each with closed-form tables built once per call; every other
-    pass is a table pass (see _table_pass).  So at most one pass's forcing,
+    takes block passes of up to _PASS_BLOCKS = 32 such blocks (1024 steps), a
+    few matrix products each with closed-form tables built once per call;
+    every other pass is a table pass (see _table_pass), and so is a block pass
+    whose trapezoidal forcing sums overflow.  A block pass takes every step as
+    T/N, so on a grid whose steps spread by up to that 3e-11 of T/N the values
+    can move by about the spread times max|value|.  At most one pass's forcing,
     values and tables are alive at a time, and a sweep costs O(N K) time and
     O(K) memory at any grid length.  The passes are chained in C, so Python
     runs only between them.  A phi or value that is not finite raises
@@ -256,33 +268,66 @@ def _passes(problem, rule, grid, method: str, folded: bool):
     with np.errstate(over="ignore", invalid="ignore"):  # the coefficients may overflow
         tables = None if nominal is None or last < 2 else _block_tables(
             exponentials, c, method, nominal, weights, min(_BLOCK, last - 1))
+    size = _CHUNK if weights is None else _BLOCK if tables is None else _PASS_BLOCKS * _BLOCK
+    # each pass's forcing sums, and a block pass's block-start states, overwrite these
+    forcing = np.zeros(size)
+    states = None if tables is None else np.empty((_PASS_BLOCKS + 1, len(weights)))
     step_method, g_prev, lo = BACKWARD_EULER, 0.0, 0
     while lo < last:
-        size = (1 if lo == 0 else _CHUNK if weights is None else _BLOCK if tables is None
-                else _PASS_BLOCKS * _BLOCK)
-        hi = min(lo + size, last)
+        hi = min(lo + (1 if lo == 0 else size), last)
         times = memoryview(points)[lo + 1 : hi + 1]
-        g = _sample_forcing(d_upper, times)
+        f = forcing[: hi - lo]
+        for start in range(0, hi - lo, _PIECE):
+            f[start : start + _PIECE] = _sample_forcing(d_upper, times[start : start + _PIECE])
+        g_next = f[-1]
         with np.errstate(over="ignore", invalid="ignore"):  # a sum of two finite g may overflow
-            f = g + np.concatenate(([g_prev], g[:-1])) if step_method == TRAPEZOIDAL else g
-            g_prev = g[-1]
-            # a block pass would spread an overflowed sum's inf as 0 * inf = nan over its block
-            if lo == 0 or tables is None or not np.isfinite(f).all():
+            if step_method == TRAPEZOIDAL:  # f_i = g_i + g_{i-1}, in place
+                f[1:] += f[:-1]
+                f[0] += g_prev
+            g_prev = g_next
+            if lo == 0 or tables is None:
                 values, phi = _table_pass(phi, exponentials, c, step_method, steps[lo:hi], f, weights)
-            else:  # sums as block rows, zero-padded at the grid's end; phi moves on if a pass follows
-                fold, kernel, carry, decay = tables
-                forcing = np.concatenate((f, np.zeros(-len(f) % len(fold)))).reshape(-1, len(fold))
-                drive = forcing[:, ::-1] @ carry
-                states = np.concatenate(([phi], drive[: len(drive) - (hi == last)]))
-                for state, start in zip(states, states[1:]):
-                    start += decay * state
-                values = (states[: len(forcing)] @ fold.T + forcing @ kernel.T).ravel()[: hi - lo]
-                phi = states[-1]
+            elif step_method == TRAPEZOIDAL and not np.isfinite(f).all():
+                # a block pass would spread an overflowed sum's inf as 0 * inf = nan over its
+                # block; table passes of _BLOCK steps keep their tables within the heap bound
+                runs = []
+                for i in range(0, hi - lo, _BLOCK):
+                    run, phi = _table_pass(phi, exponentials, c, step_method,
+                                           steps[lo + i : hi][:_BLOCK], f[i : i + _BLOCK], weights)
+                    runs.append(run)
+                values = np.concatenate(runs)
+            else:
+                values, phi = _block_pass(phi, tables, forcing, states, hi - lo)
         if not np.isfinite(values).all():
             bad = next(t for t, v in zip(times, values) if not np.isfinite(v).all())
             raise EvaluationError(f"the solution is not finite at t = {bad}")
         yield values if weights is None else memoryview(values)
         step_method, lo = method, hi
+
+
+def _block_pass(phi, tables, forcing, states, n: int):
+    """The folded values of the n steps whose forcing sums lead ``forcing``, and the state after them.
+
+    The sums are laid out as block rows, zero-padded at the grid's end.  Row
+    b + 1 of ``states`` takes block b's increment, its sums times carry, and
+    rounds of doubling turn the increments into the block-start states: after
+    the round of shift s, each row holds its own increment plus the last 2s - 1
+    ones, each carried on by its power of A^rows.
+    """
+    fold, kernel, carry, decays = tables
+    blocks = -(-n // len(fold))
+    forcing[n : blocks * len(fold)] = 0.0
+    sums = forcing[: blocks * len(fold)].reshape(blocks, -1)
+    run = states[: blocks + 1]
+    run[0] = phi
+    np.matmul(sums, carry, out=run[1:])
+    for shift, decay in zip(_SHIFTS, decays):
+        if shift > blocks:
+            break
+        run[shift:] += decay * run[:-shift]
+    values = run[:-1] @ fold.T
+    values += sums @ kernel.T
+    return values.ravel()[:n], run[-1]
 
 
 def _table_pass(phi, exponentials, c: float, method: str, steps, f, weights):
@@ -301,26 +346,38 @@ def _table_pass(phi, exponentials, c: float, method: str, steps, f, weights):
 
 
 def _block_tables(exponentials, c: float, method: str, h: float, weights: np.ndarray, rows: int):
-    """(fold, kernel, carry, decay): the tables that take ``rows`` steps of length h at once.
+    """(fold, kernel, carry, decays): the tables that take ``rows`` steps of length h at once.
 
     With phi the state before the run and f_i = g_i + theta g_{i-1} its
     forcing sums, the folded values after steps 1..rows are
-    fold phi + kernel f, and the state after them is decay phi + f reversed
-    . carry.  fold_j = weights A^j, decay = A^rows, carry_l = c Q A^l, and
-    kernel is the lower-triangular Toeplitz matrix of kappa_l = weights . carry_l.
+    fold phi + kernel f, and the state after them is A^rows phi + f . carry.
+    fold_j = weights A^j and carry_i = c Q A^(rows - 1 - i), so carry is
+    reversed; kernel is the lower-triangular Toeplitz matrix of
+    kappa_l = weights . c Q A^l, and decays holds A^(rows s) for each s in
+    _SHIFTS, each the square of the one before.  Entries of fold, carry and
+    decays below the smallest normal double are flushed to 0: each moves a
+    value by under 2^-1022 of the |phi| or |f| it multiplies, and a subnormal
+    operand slows a matrix product several times over.
     """
     [amp], [gain] = _coefficients(exponentials, method, [h])
-    # both tables are running products down their rows, formed in place: an
-    # operand broadcast over a table would cost numpy a temporary of its size
-    fold, carry = np.empty((rows, len(amp))), np.empty((rows, len(amp)))
-    fold[:], carry[:] = amp, amp
+    # fold and carry are running products down their rows, formed in place in
+    # one array: an operand broadcast over a table would cost numpy a temporary
+    products = np.empty((2, rows, len(amp)))
+    products[:] = amp
+    fold, carry = products
     fold[0] *= weights
     carry[0] = c * gain
-    np.multiply.accumulate(fold, axis=0, out=fold)
-    np.multiply.accumulate(carry, axis=0, out=carry)
+    np.multiply.accumulate(products, axis=1, out=products)
     lag = np.subtract.outer(np.arange(rows), np.arange(rows))
     kernel = np.where(lag >= 0, (carry @ weights)[lag], 0.0)
-    return fold, kernel, carry, amp**rows
+    carry[:] = carry[::-1]
+    decays = np.empty((len(_SHIFTS), len(amp)))
+    decays[0] = amp**rows
+    for root, square in zip(decays, decays[1:]):
+        np.square(root, out=square)
+    for table in (products, decays):
+        table[np.abs(table) < np.finfo(float).tiny] = 0.0
+    return fold, kernel, carry, decays
 
 
 def state_combination(q: float, phi: np.ndarray) -> np.ndarray:

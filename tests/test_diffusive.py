@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -288,6 +289,26 @@ def test_grids_near_the_top_of_double_range_warn_nothing(make_grid, n_steps):
 def test_grid_rejects_non_monotone_points():
     with pytest.raises(InvalidParameterError):
         TimeGrid(points=np.array([0.0, 0.5, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([0.0, math.inf, 1.0], "grid points must be finite"),
+        ([math.inf, math.inf], "grid points must be finite"),
+        ([2.0, 1.0, math.nan], "grid points must be finite"),
+        ([0.0, 1.0, 1.0], "grid points must be strictly increasing"),
+        ([-1e308, 1e308, 0.0], "grid points must be strictly increasing"),
+        ([-1e308, 1e308], "grid steps must be finite"),
+    ],
+)
+def test_grid_checks_run_in_order_when_a_step_is_not_finite_and_positive(points, message):
+    # the first failing check names the fault: finite points, then increasing
+    # points, then finite steps; numpy warns nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            TimeGrid(np.array(points))
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from diffcap.steppers import (
     _BLOCK,
     _CHUNK,
     _PASS_BLOCKS,
+    _PIECE,
     quadrature_coefficients,
     state_combination,
 )
@@ -528,6 +529,28 @@ def test_a_value_that_is_not_finite_in_the_second_block_pass_raises_after_the_fi
 
 
 @pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("piece", [0, 1])
+def test_a_bad_forcing_value_stops_a_block_pass_at_the_end_of_its_sampling_piece(piece, method):
+    # a block pass samples its forcing _PIECE times at a time: an inf in one
+    # piece is named once that piece is sampled, before any later piece is
+    # called and before the pass yields a value
+    assert _PASS == 2 * _PIECE
+    grid = uniform_grid(0.0, 1.0, 2 * _PASS + 5)
+    index = 2 + piece * _PIECE + 100  # the first pass holds grid indices 2 .. _PASS + 1
+    bad = float(grid.points[index])
+    calls = []
+    problem = DerivativeProblem(
+        alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: calls.append(t) or (math.inf if t == bad else 1.0)
+    )
+    stream = iter_solution(problem, gauss_laguerre_rule(6), grid, method=method, folded=True)
+    head = list(itertools.islice(stream, 2))  # t = a and the lone first step
+    assert len(head) == 2 and calls == [float(grid.points[1])]
+    with pytest.raises(EvaluationError, match=re.escape(f"d_upper returned a non-finite value at t = {bad}")):
+        next(stream)
+    assert calls == grid.points[1 : 2 + (piece + 1) * _PIECE].tolist()
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("graded", [False, True])
 def test_folded_stream_yields_python_floats(graded, method):
     # the zero at t = a too; a uniform grid takes block passes, a graded one table passes
@@ -687,6 +710,29 @@ def test_evaluate_derivative_matches_the_state_combination_fold(method):
     values = evaluate_derivative(problem, rule, grid, method=method)
     folded = _per_step_fold(problem, rule, grid, method)
     assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("alpha", [0.5, 2.2])
+@pytest.mark.parametrize("k", [30, 64, 100])
+def test_block_tables_hold_no_subnormal_and_keep_the_per_step_fold(k, alpha, method):
+    # entries of A^j below the smallest normal double are flushed to 0, as a
+    # subnormal operand slows the matrix products several times over; each
+    # moves a value by under 2^-1022 of the |phi| it multiplies.  Every step
+    # of this grid is exactly T/N = 2^-11, so the block passes (two, the
+    # second partial) and the per-step fold step alike
+    problem, rule = make_problem("sin", alpha), gauss_laguerre_rule(k)
+    grid = uniform_grid(0.0, 1.0, 2048)
+    with mock.patch.object(steppers, "_block_tables", wraps=steppers._block_tables) as spy:
+        values = evaluate_derivative(problem, rule, grid, method=method)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = steppers._block_tables(*spy.call_args.args)  # rebuilt from that call's arguments
+    fold, _, carry, decays = tables
+    tiny = np.finfo(float).tiny
+    for table in (fold, carry, decays):
+        assert not np.any((np.abs(table) < tiny) & (table != 0.0))
+    folded = _per_step_fold(problem, rule, grid, method)
+    assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(folded))
 
 
 @pytest.mark.parametrize("method", METHODS)
