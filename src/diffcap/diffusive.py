@@ -113,8 +113,10 @@ class DerivativeProblem:
                     f"got {part!r}"
                 )
             object.__setattr__(self, "singular_part", (float(sigma), r))
-        if self.window is not None and not callable(self.window):
-            raise InvalidParameterError(f"window must be callable, got {self.window!r}")
+        for name in ("d_upper", "d_upper_plus", "window"):
+            value = getattr(self, name)
+            if not (callable(value) or (value is None and name != "d_upper")):
+                raise InvalidParameterError(f"{name} must be callable, got {value!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "ceil_order", math.ceil(alpha))
         object.__setattr__(self, "fractional_part", fractional_part(alpha))
@@ -173,7 +175,7 @@ def stiffness_report(system: DiffusiveSystem) -> tuple[StiffnessRow, ...]:
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing evaluation times t_0 < ... < t_N.
+    """Strictly increasing evaluation times t_0 < ... < t_N, real numbers stored as floats.
 
     The scheme runs on any grid (the stepping is one-step); the a-priori
     ODE-error bound is only stated for uniform ones.  Grids, like rules and
@@ -184,7 +186,10 @@ class TimeGrid:
     steps: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)  # a copy: the caller's array stays theirs
+        try:  # a copy: the caller's array stays theirs
+            pts = np.asarray(self.points).astype(float, casting="same_kind")
+        except (TypeError, ValueError) as exc:  # complex, text, objects or ragged rows
+            raise InvalidParameterError(f"grid points must be real numbers: {exc}") from exc
         if pts.ndim != 1 or len(pts) < 2:
             raise InvalidParameterError("a grid needs at least two points")
         with np.errstate(over="ignore", invalid="ignore"):

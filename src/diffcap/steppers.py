@@ -234,15 +234,15 @@ def iter_solution(
     A folded stream whose grid steps all lie within a relative 3e-11 of T/N
     takes block passes of up to _PASS_BLOCKS = 32 such blocks (1024 steps), a
     few matrix products each with closed-form tables built once per call;
-    every other pass is a table pass (see _table_pass), and so is a block pass
-    whose trapezoidal forcing sums overflow.  A block pass takes every step as
-    T/N, so on a grid whose steps spread by up to that 3e-11 of T/N the values
-    can move by about the spread times max|value|.  At most one pass's forcing,
-    values and tables are alive at a time, and a sweep costs O(N K) time and
-    O(K) memory at any grid length.  The passes are chained in C, so Python
-    runs only between them.  A phi or value that is not finite raises
-    EvaluationError naming its grid time before its pass yields anything, a
-    trapezoidal half step that rounds to 0 InvalidParameterError at once.
+    every other pass is a table pass (see _table_pass).  A block pass takes
+    every step as T/N, so on a grid whose steps spread by up to that 3e-11 of
+    T/N the values can move by about the spread times max|value|.  At most one
+    pass's forcing, values and tables are alive at a time, and a sweep costs
+    O(N K) time and O(K) memory at any grid length.  The passes are chained in
+    C, so Python runs only between them.  A phi or value that is not finite
+    raises EvaluationError naming its grid time before its pass yields
+    anything; a pass stops at its first overflowed trapezoidal sum.  A half
+    step that rounds to 0 raises InvalidParameterError at once.
     """
     return itertools.chain.from_iterable(_passes(problem, rule, grid, method, folded))
 
@@ -280,27 +280,24 @@ def _passes(problem, rule, grid, method: str, folded: bool):
         for start in range(0, hi - lo, _PIECE):
             f[start : start + _PIECE] = _sample_forcing(d_upper, times[start : start + _PIECE])
         g_next = f[-1]
+        n = hi - lo
         with np.errstate(over="ignore", invalid="ignore"):  # a sum of two finite g may overflow
             if step_method == TRAPEZOIDAL:  # f_i = g_i + g_{i-1}, in place
                 f[1:] += f[:-1]
                 f[0] += g_prev
+                # stop at an overflowed sum, whose modes (c > 0, Q >= 0) and fold are +-inf or nan
+                finite = np.isfinite(f)
+                if not finite.all():
+                    n = int(finite.argmin())
             g_prev = g_next
             if lo == 0 or tables is None:
-                values, phi = _table_pass(phi, exponentials, c, step_method, steps[lo:hi], f, weights)
-            elif step_method == TRAPEZOIDAL and not np.isfinite(f).all():
-                # a block pass would spread an overflowed sum's inf as 0 * inf = nan over its
-                # block; table passes of _BLOCK steps keep their tables within the heap bound
-                runs = []
-                for i in range(0, hi - lo, _BLOCK):
-                    run, phi = _table_pass(phi, exponentials, c, step_method,
-                                           steps[lo + i : hi][:_BLOCK], f[i : i + _BLOCK], weights)
-                    runs.append(run)
-                values = np.concatenate(runs)
+                values, phi = _table_pass(
+                    phi, exponentials, c, step_method, steps[lo : lo + n], f[:n], weights)
             else:
-                values, phi = _block_pass(phi, tables, forcing, states, hi - lo)
-        if not np.isfinite(values).all():
-            bad = next(t for t, v in zip(times, values) if not np.isfinite(v).all())
-            raise EvaluationError(f"the solution is not finite at t = {bad}")
+                values, phi = _block_pass(phi, tables, forcing, states, n)
+        if n < hi - lo or not np.isfinite(values).all():
+            bad = next((i for i, v in enumerate(values) if not np.isfinite(v).all()), n)
+            raise EvaluationError(f"the solution is not finite at t = {times[bad]}")
         yield values if weights is None else memoryview(values)
         step_method, lo = method, hi
 
@@ -317,7 +314,7 @@ def _block_pass(phi, tables, forcing, states, n: int):
     fold, kernel, carry, decays = tables
     blocks = -(-n // len(fold))
     forcing[n : blocks * len(fold)] = 0.0
-    sums = forcing[: blocks * len(fold)].reshape(blocks, -1)
+    sums = forcing[: blocks * len(fold)].reshape(blocks, len(fold))
     run = states[: blocks + 1]
     run[0] = phi
     np.matmul(sums, carry, out=run[1:])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath
@@ -158,10 +159,16 @@ def test_problem_rejects_a_malformed_singular_part(part):
         DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=math.sin, singular_part=part)
 
 
-@pytest.mark.parametrize("window", [1.0, "V", (0.0, math.exp)])
-def test_problem_rejects_a_window_that_is_not_callable(window):
-    with pytest.raises(InvalidParameterError, match="window must be callable"):
-        DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=math.sin, window=window)
+@pytest.mark.parametrize(
+    "name, value",
+    [("window", 1.0), ("window", "V"), ("window", (0.0, math.exp)),
+     ("d_upper", 3.0), ("d_upper", None), ("d_upper_plus", "sin")],
+)
+def test_problem_rejects_a_window_that_is_not_callable(name, value):
+    # and a d_upper or a given d_upper_plus, before the scheme would call it
+    fields = {"d_upper": math.sin, name: value}
+    with pytest.raises(InvalidParameterError, match=re.escape(f"{name} must be callable, got {value!r}")):
+        DerivativeProblem(alpha=0.5, a=0.0, T=1.0, **fields)
 
 
 def test_problem_keeps_a_declared_singular_part():
@@ -244,6 +251,27 @@ def test_graded_grid_ends_at_a_plus_T(a, T, n_steps, exponent):
 def test_grid_rejects_invalid_input(make_grid, message):
     with pytest.raises(InvalidParameterError, match=message):
         make_grid()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.array([0, 1 + 1j, 2]),
+        [0.0, 1j, 2.0],
+        ["0", "1", "2"],
+        [b"0", b"1"],
+        [0.0, None, 1.0],
+        np.array([0.0, 0.5, 1.0], dtype=object),
+        [0.0, [0.5, 0.75], 1.0],
+    ],
+    ids=["complex-array", "complex-list", "text", "bytes", "none", "object-array", "ragged"],
+)
+def test_grid_rejects_points_that_are_not_real_numbers(points):
+    # a complex point once lost its imaginary part with only a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="^grid points must be real numbers"):
+            TimeGrid(points)
 
 
 def test_grid_copies_its_points():

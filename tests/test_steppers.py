@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import itertools
 import math
 import re
@@ -739,16 +740,21 @@ def test_block_tables_hold_no_subnormal_and_keep_the_per_step_fold(k, alpha, met
 @pytest.mark.parametrize("graded", [False, True])
 def test_evaluate_derivative_heap_is_linear_in_k_and_independent_of_n(method, graded):
     # the block tables of a uniform grid (two of _BLOCK x 2K doubles, one of
-    # _BLOCK^2) fit the stepping bound; the N + 1 values returned do not count
+    # _BLOCK^2) fit the stepping bound; the N + 1 values returned do not count.
+    # So does a run whose trapezoidal sums overflow at t = 0.75025: its pass
+    # stops there and raises
     k = 64
     bound = 96 * (2 * k * 8) + 32 * 1024
-    problem = make_problem("pow2", 0.5)
+    pow2, jump = make_problem("pow2", 0.5), _jump_to_near_max_double()
     rule = gauss_laguerre_rule(k)
-    for n_steps in (2_000, 20_000):
+    overflow = pytest.raises(EvaluationError) if method == TRAPEZOIDAL else contextlib.nullcontext()
+    for problem, n_steps, outcome in ((pow2, 2_000, contextlib.nullcontext()),
+                                      (pow2, 20_000, contextlib.nullcontext()), (jump, 4_000, overflow)):
         grid = graded_grid(0.0, 1.0, n_steps, 2.0) if graded else uniform_grid(0.0, 1.0, n_steps)
         tracemalloc.start()
         try:
-            evaluate_derivative(problem, rule, grid, method=method)
+            with outcome:
+                evaluate_derivative(problem, rule, grid, method=method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -981,6 +987,17 @@ def test_values_that_overflow_raise_evaluation_error_naming_the_first_time(grade
     problem = make_problem("pow2", alpha, T=1e250)
     rule = gauss_laguerre_rule(64)
     grid = graded_grid(0.0, 1e250, 40, 2.0) if graded else uniform_grid(0.0, 1e250, 40)
+    bad = _first_time_not_finite(problem, rule, grid, method)
+    assert bad is not None
+    message = re.escape(f"not finite at t = {bad}")
+    with pytest.raises(EvaluationError, match=message):
+        collections.deque(iter_solution(problem, rule, grid, method=method), maxlen=0)
+    with pytest.raises(EvaluationError, match=message):
+        evaluate_derivative(problem, rule, grid, method=method)
+
+
+def _first_time_not_finite(problem, rule, grid, method):
+    # the first grid time at which an advance loop's phi is not finite, or None
     system = build_system(problem, rule)
     phi, step_method, g_prev = np.zeros(2 * rule.npoints), BACKWARD_EULER, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -988,11 +1005,36 @@ def test_values_that_overflow_raise_evaluation_error_naming_the_first_time(grade
             g_next = problem.d_upper(t_next)
             phi = advance(phi, system, step_method, t_next - t_prev, g_prev, g_next)
             if not np.all(np.isfinite(phi)):
-                break
+                return t_next
             step_method, g_prev = method, g_next
-    assert not np.all(np.isfinite(phi))
-    message = re.escape(f"not finite at t = {t_next}")
-    with pytest.raises(EvaluationError, match=message):
-        collections.deque(iter_solution(problem, rule, grid, method=method), maxlen=0)
-    with pytest.raises(EvaluationError, match=message):
-        evaluate_derivative(problem, rule, grid, method=method)
+    return None
+
+
+def _jump_to_near_max_double(onset=0.75):
+    # 1.5e308 from t = onset on: each value is finite, but each trapezoidal sum
+    # of two of them after the onset overflows
+    return DerivativeProblem(alpha=0.5, a=0.0, T=1.0, d_upper=lambda t: 1.5e308 if t >= onset else 1.0)
+
+
+@pytest.mark.parametrize("pass_start", [False, True])
+@pytest.mark.parametrize("folded", [False, True])
+@pytest.mark.parametrize("graded", [False, True])
+def test_a_forcing_sum_that_overflows_names_its_time(graded, folded, pass_start):
+    # the forcing jumps at t = 0.75, or one step before the pass after it: the
+    # phi and value there are finite, and the sum at the next time overflows,
+    # mid-pass or as the first sum of a pass, in passes of every kind (block or
+    # table passes of the folded stream, _CHUNK-step passes of the phi stream).
+    # The pass stops at that sum and names its time, where an advance loop's phi
+    # first is not finite
+    rule = gauss_laguerre_rule(64)
+    grid = graded_grid(0.0, 1.0, 4000, 2.0) if graded else uniform_grid(0.0, 1.0, 4000)
+    size = _CHUNK if not folded else _BLOCK if graded else _PASS
+    index = int(np.searchsorted(grid.points, 0.75)) + 1
+    if pass_start:
+        index += -(index - 2) % size
+    assert ((index - 2) % size == 0) == pass_start  # passes start at grid indices 2 + j size
+    problem = _jump_to_near_max_double(float(grid.points[index - 1]))
+    bad = _first_time_not_finite(problem, rule, grid, TRAPEZOIDAL)
+    assert bad == grid.points[index]
+    with pytest.raises(EvaluationError, match=re.escape(f"the solution is not finite at t = {bad}")):
+        collections.deque(iter_solution(problem, rule, grid, method=TRAPEZOIDAL, folded=folded), maxlen=0)
